@@ -61,9 +61,10 @@ class _LegacySerialSmsEgo(SmsEgoBayesOpt):
         self._gp = None
         self._initial_sampling(evaluator, rng)
         while not evaluator.exhausted:
-            pool = self._candidate_pool(evaluator, rng)
-            if not pool:
+            pool_indices = self._candidate_pool(evaluator, rng)
+            if not len(pool_indices):
                 break
+            pool = evaluator.space.from_indices(pool_indices)
             history = evaluator.result.evaluations
             x_train = evaluator.space.encode_many(
                 [e.assignment for e in history])

@@ -110,6 +110,7 @@ class SmsEgoBayesOpt(Optimizer):
         self.gp_refit_every = gp_refit_every
         self.proposal_batch = proposal_batch
         self._gp: Optional[MultiObjectiveGP] = None
+        self._x_train = np.zeros((0, space.num_dimensions))
 
     # ------------------------------------------------------------------
     def run(self, evaluator: CachingEvaluator,
@@ -117,6 +118,7 @@ class SmsEgoBayesOpt(Optimizer):
         # The surrogate state is per run: optimize() may be called again
         # (or replayed) on the same instance and must start fresh.
         self._gp = None
+        self._x_train = np.zeros((0, evaluator.space.num_dimensions))
         self._initial_sampling(evaluator, rng)
         screened = isinstance(evaluator, MultiFidelityEvaluator)
         barren_rounds = 0
@@ -166,7 +168,7 @@ class SmsEgoBayesOpt(Optimizer):
             block = min(needed, miss_limit + 1 - misses)
             points, keys = evaluator.space.sample_block(rng, block)
             for point, key in zip(points, keys):
-                if key in queued_keys or evaluator.seen(point):
+                if key in queued_keys or evaluator.seen_key(key):
                     misses += 1
                     if misses > miss_limit:
                         break
@@ -178,29 +180,50 @@ class SmsEgoBayesOpt(Optimizer):
             evaluator.evaluate_batch(queued)
 
     def _candidate_pool(self, evaluator: CachingEvaluator,
-                        rng: np.random.Generator) -> List[Assignment]:
+                        rng: np.random.Generator) -> np.ndarray:
         """Draw up to ``pool_size`` unseen points in vectorised blocks.
 
-        Each block is sized to the still-needed count and capped at the
+        Returns the kept points as an index matrix (one row per point,
+        see :meth:`DesignSpace.sample_indices`) in draw order.  Each
+        block is sized to the still-needed count and capped at the
         remaining attempt budget, which reproduces the seed's
         draw-by-draw loop exactly: a block only fills the pool on its
         final draw, so no draw ever happens that the scalar loop would
         have skipped.
         """
-        pool: List[Assignment] = []
+        space = evaluator.space
+        kept = [np.zeros((0, space.num_dimensions), dtype=np.int64)]
         seen_keys = set()
         attempts = 0
         attempt_limit = 20 * self.pool_size
-        while len(pool) < self.pool_size and attempts < attempt_limit:
-            block = min(self.pool_size - len(pool), attempt_limit - attempts)
-            points, keys = evaluator.space.sample_block(rng, block)
+        while len(seen_keys) < self.pool_size and attempts < attempt_limit:
+            block = min(self.pool_size - len(seen_keys),
+                        attempt_limit - attempts)
+            draws = space.sample_indices(rng, block)
             attempts += block
-            for point, key in zip(points, keys):
-                if key in seen_keys or evaluator.seen(point):
+            rows = []
+            for row, key in enumerate(space.index_keys(draws)):
+                if key in seen_keys or evaluator.seen_key(key):
                     continue
                 seen_keys.add(key)
-                pool.append(point)
-        return pool
+                rows.append(row)
+            kept.append(draws[rows])
+        return np.concatenate(kept)
+
+    def _encoded_history(self, evaluator: CachingEvaluator) -> np.ndarray:
+        """The encoded evaluation history, appending only new rows.
+
+        The history only grows within a run, so each proposal encodes
+        just the points observed since the last one; the concatenation
+        is bitwise equal to re-encoding the whole history.
+        """
+        history = evaluator.result.evaluations
+        fresh = history[self._x_train.shape[0]:]
+        if fresh:
+            self._x_train = np.concatenate([
+                self._x_train,
+                evaluator.space.encode_many([e.assignment for e in fresh])])
+        return self._x_train
 
     def _propose(self, evaluator: CachingEvaluator,
                  rng: np.random.Generator) -> List[Assignment]:
@@ -216,15 +239,15 @@ class SmsEgoBayesOpt(Optimizer):
         budget-skip path.
         """
         pool = self._candidate_pool(evaluator, rng)
-        if not pool:
+        if not len(pool):
             return []
 
-        history = evaluator.result.evaluations
-        x_train = evaluator.space.encode_many([e.assignment for e in history])
-        objectives = np.vstack([e.objectives for e in history])
+        x_train = self._encoded_history(evaluator)
+        objectives = np.vstack([e.objectives
+                                for e in evaluator.result.evaluations])
         num_objectives = objectives.shape[1]
 
-        x_pool = evaluator.space.encode_many(pool)
+        x_pool = evaluator.space.encode_indices(pool)
         gp = self._gp
         if gp is None or gp.num_objectives not in (0, num_objectives):
             gp = self._gp = MultiObjectiveGP(
@@ -254,7 +277,7 @@ class SmsEgoBayesOpt(Optimizer):
         stats = gp_stats()
         stats.proposal_groups += 1
         stats.proposed_points += len(picks)
-        return [pool[i] for i in picks]
+        return evaluator.space.from_indices(pool[picks])
 
     @staticmethod
     def _count_proposal_submission(size: int) -> None:

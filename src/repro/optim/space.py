@@ -68,6 +68,17 @@ class DesignSpace:
         self._by_name = {d.name: d for d in self.dimensions}
         self._names = tuple(d.name for d in self.dimensions)
         self._value_counts = np.array([len(d.values) for d in self.dimensions])
+        # Index-level representation: encoding divides an index row by
+        # these denominators, and keys gather values from per-dimension
+        # object arrays (filled element-wise so tuple values stay whole).
+        self._denoms = np.array([max(1, len(d.values) - 1)
+                                 for d in self.dimensions], dtype=float)
+        self._value_arrays = []
+        for dim in self.dimensions:
+            values = np.empty(len(dim.values), dtype=object)
+            for i, value in enumerate(dim.values):
+                values[i] = value
+            self._value_arrays.append(values)
 
     @property
     def num_dimensions(self) -> int:
@@ -131,24 +142,44 @@ class DesignSpace:
         """Draw ``count`` uniform points in one vectorised block.
 
         Returns the assignments plus their dedup keys (:meth:`key`) so
-        batched callers skip one validate-and-index pass per point.  The
-        block draw consumes the generator stream bit-identically to
+        batched callers skip one validate-and-index pass per point.  A
+        thin wrapper over :meth:`sample_indices`, so it consumes the
+        generator stream exactly as the index draw does.
+        """
+        indices = self.sample_indices(rng, count)
+        return self.from_indices(indices), self.index_keys(indices)
+
+    # ------------------------------------------------------------------
+    # Index-level API: a point is a row of per-dimension value indices.
+    def sample_indices(self, rng: np.random.Generator, count: int
+                       ) -> np.ndarray:
+        """Draw ``count`` uniform points as a ``(count x d)`` index matrix.
+
+        One bounded draw per dimension, point-major -- bit-identical to
         ``count`` sequential :meth:`sample` calls of the seed
-        implementation (one bounded draw per dimension, point-major),
-        so optimiser trajectories are unchanged.
+        implementation, so optimiser trajectories are unchanged.
         """
         if count <= 0:
-            return [], []
-        draws = rng.integers(self._value_counts,
-                             size=(count, self.num_dimensions))
-        dims = self.dimensions
-        points: List[Assignment] = []
-        keys: List[Tuple[object, ...]] = []
-        for row in draws.tolist():
-            values = [dim.values[index] for dim, index in zip(dims, row)]
-            points.append(dict(zip(self._names, values)))
-            keys.append(tuple(values))
-        return points, keys
+            return np.zeros((0, self.num_dimensions), dtype=np.int64)
+        return rng.integers(self._value_counts,
+                            size=(count, self.num_dimensions))
+
+    def encode_indices(self, indices: np.ndarray) -> np.ndarray:
+        """Encode an index matrix to [0, 1]^d, bitwise equal to
+        :meth:`encode_many` on the same points."""
+        return np.asarray(indices) / self._denoms
+
+    def index_keys(self, indices: np.ndarray) -> List[Tuple[object, ...]]:
+        """The :meth:`key` of every row of an index matrix."""
+        indices = np.asarray(indices)
+        columns = [values[indices[:, i]]
+                   for i, values in enumerate(self._value_arrays)]
+        return list(zip(*columns))
+
+    def from_indices(self, indices: np.ndarray) -> List[Assignment]:
+        """The assignment of every row of an index matrix."""
+        return [dict(zip(self._names, key))
+                for key in self.index_keys(indices)]
 
     def neighbor(self, assignment: Assignment,
                  rng: np.random.Generator) -> Assignment:

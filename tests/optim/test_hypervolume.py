@@ -11,6 +11,7 @@ from repro.optim.hypervolume import (
     hypervolume,
     hypervolume_contribution,
     hypervolume_contributions,
+    nondominated_boxes_3d,
 )
 from repro.optim.pareto import non_dominated_mask
 
@@ -186,3 +187,112 @@ class TestContribution:
         front = np.array([[0.1, 0.9]])
         gain = hypervolume_contribution(front, [0.9, 0.1], [1.0, 1.0])
         assert gain > 0.0
+
+
+def wfg_contributions_3d(points, candidates, reference):
+    """Reference oracle: the per-candidate WFG loop for 3-D contributions.
+
+    ``contrib(c) = prod(ref - c) - HV({max(p, c) : p in points})``, one
+    staircase sweep per candidate that survives the weak-dominance
+    screen; screened candidates score exactly zero.
+    """
+    ref = np.asarray(reference, dtype=float)
+    cands = np.atleast_2d(np.asarray(candidates, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(cands.shape[0])
+    inside = np.all(cands < ref, axis=1)
+    if pts.shape[0] == 0:
+        out[inside] = np.prod(ref - cands[inside], axis=1)
+        return out, ~inside
+    dominated = np.any(
+        np.all(pts[None, :, :] <= cands[:, None, :], axis=2), axis=1)
+    screened = ~inside | dominated
+    for i in np.flatnonzero(~screened):
+        box = float(np.prod(ref - cands[i]))
+        clipped = np.maximum(pts, cands[i])
+        out[i] = max(0.0, box - _hypervolume_3d(clipped, ref))
+    return out, screened
+
+
+#: Coordinates on a coarse grid, so fronts and candidates hit exact ties.
+_grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_coordinate = st.one_of(_grid, st.floats(0.0, 1.2, allow_nan=False))
+
+
+@st.composite
+def fronts(draw, max_points=12):
+    """Point sets with exact ties and duplicate rows (possibly empty)."""
+    rows = draw(st.lists(st.tuples(_coordinate, _coordinate, _coordinate),
+                         min_size=0, max_size=max_points))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+@st.composite
+def candidate_sets(draw, reference):
+    """Candidates inside, beyond and exactly on the SMS-EGO clip."""
+    rows = draw(st.lists(
+        st.tuples(_coordinate, _coordinate, _coordinate),
+        min_size=1, max_size=16))
+    cands = np.array(rows, dtype=float)
+    if draw(st.booleans()):
+        cands = np.minimum(cands, reference - 1e-12)
+    return cands
+
+
+REFERENCE_3D = np.array([1.1, 1.1, 1.1])
+
+
+class TestContributionsDifferential:
+    """The box-decomposition contributions against the per-candidate
+    WFG oracle, and the decomposition's own invariants."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=fronts(), data=st.data())
+    def test_matches_wfg_oracle(self, points, data):
+        cands = data.draw(candidate_sets(REFERENCE_3D))
+        fast = hypervolume_contributions(points, cands, REFERENCE_3D)
+        slow, screened = wfg_contributions_3d(points, cands, REFERENCE_3D)
+        assert np.all(fast[screened] == 0.0)
+        # The oracle subtracts two volumes of the candidate box's size,
+        # so 1e-12 relative is measured against that scale.
+        scale = np.prod(np.maximum(REFERENCE_3D - cands, 0.0), axis=1)
+        assert np.all(np.abs(fast - slow)
+                      <= 1e-12 * np.maximum(np.abs(slow), scale))
+
+    def test_single_point_front(self):
+        front = np.array([[0.5, 0.5, 0.5]])
+        cands = np.array([[0.25, 0.75, 0.5], [0.5, 0.5, 0.5],
+                          [1.2, 0.1, 0.1], [0.1, 0.1, 1.1 - 1e-12]])
+        fast = hypervolume_contributions(front, cands, REFERENCE_3D)
+        slow, _ = wfg_contributions_3d(front, cands, REFERENCE_3D)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+        assert fast[1] == 0.0 and fast[2] == 0.0
+
+    def test_empty_front(self):
+        cands = np.array([[0.5, 0.5, 0.5], [1.1, 0.0, 0.0]])
+        out = hypervolume_contributions(np.zeros((0, 3)), cands,
+                                        REFERENCE_3D)
+        assert out[0] == pytest.approx(0.6 ** 3)
+        assert out[1] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=fronts(max_points=16))
+    def test_decomposition_invariants(self, points):
+        lo, hi = nondominated_boxes_3d(points, REFERENCE_3D)
+        assert lo.shape == hi.shape and lo.shape[1] == 3
+        assert lo.shape[0] <= 2 * points.shape[0] + 1
+        assert np.all(hi > lo)
+        # Pairwise disjoint interiors: every pair is separated on some
+        # axis.
+        separated = np.any((hi[:, None, :] <= lo[None, :, :])
+                           | (hi[None, :, :] <= lo[:, None, :]), axis=2)
+        np.fill_diagonal(separated, True)
+        assert separated.all()
+        # Boxes plus the dominated volume tile the bounding box.
+        corner = np.minimum(points.min(axis=0, initial=0.0), 0.0) - 1.0
+        boxes = np.prod(hi - np.maximum(lo, corner), axis=1).sum()
+        bounding = float(np.prod(REFERENCE_3D - corner))
+        covered = hypervolume(points, REFERENCE_3D) if points.size else 0.0
+        assert boxes + covered == pytest.approx(bounding, rel=1e-12)
