@@ -41,7 +41,7 @@ from repro.optim.base import CachingEvaluator, Optimizer
 from repro.optim.fidelity import MultiFidelityEvaluator
 from repro.optim.gp import MultiObjectiveGP, gp_stats
 from repro.optim.hypervolume import hypervolume_contributions
-from repro.optim.pareto import non_dominated_mask
+from repro.optim.pareto import IncrementalFront, non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
 
 #: Absolute floor on the per-objective observed span when deriving the
@@ -111,6 +111,7 @@ class SmsEgoBayesOpt(Optimizer):
         self.proposal_batch = proposal_batch
         self._gp: Optional[MultiObjectiveGP] = None
         self._x_train = np.zeros((0, space.num_dimensions))
+        self._observed = IncrementalFront()
 
     # ------------------------------------------------------------------
     def run(self, evaluator: CachingEvaluator,
@@ -119,6 +120,7 @@ class SmsEgoBayesOpt(Optimizer):
         # (or replayed) on the same instance and must start fresh.
         self._gp = None
         self._x_train = np.zeros((0, evaluator.space.num_dimensions))
+        self._observed = IncrementalFront()
         self._initial_sampling(evaluator, rng)
         screened = isinstance(evaluator, MultiFidelityEvaluator)
         barren_rounds = 0
@@ -225,6 +227,19 @@ class SmsEgoBayesOpt(Optimizer):
                 evaluator.space.encode_many([e.assignment for e in fresh])])
         return self._x_train
 
+    def _observed_front(self, evaluator: CachingEvaluator
+                        ) -> IncrementalFront:
+        """The objective history and its front, folding in new rows only.
+
+        Like :meth:`_encoded_history`, each proposal appends just the
+        evaluations observed since the last one; the front stays equal
+        to ``non_dominated_mask`` over the whole history.
+        """
+        fresh = evaluator.result.evaluations[len(self._observed):]
+        if fresh:
+            self._observed.extend(np.vstack([e.objectives for e in fresh]))
+        return self._observed
+
     def _propose(self, evaluator: CachingEvaluator,
                  rng: np.random.Generator) -> List[Assignment]:
         """Fit the GP and greedily select up to q pool candidates.
@@ -243,8 +258,8 @@ class SmsEgoBayesOpt(Optimizer):
             return []
 
         x_train = self._encoded_history(evaluator)
-        objectives = np.vstack([e.objectives
-                                for e in evaluator.result.evaluations])
+        observed = self._observed_front(evaluator)
+        objectives = observed.points
         num_objectives = objectives.shape[1]
 
         x_pool = evaluator.space.encode_indices(pool)
@@ -256,7 +271,7 @@ class SmsEgoBayesOpt(Optimizer):
         means, stds = gp.predict(x_pool)
 
         lcb = means - self.kappa * stds
-        front = objectives[non_dominated_mask(objectives)]
+        front = observed.front
         reference = self._reference_point(objectives)
 
         budget_left = evaluator.budget - evaluator.evaluations_used

@@ -9,24 +9,27 @@ internally, the lengthscale comes from the median heuristic (optionally
 refined by a small grid search on the log marginal likelihood), and a
 jittered Cholesky factorisation gives numerically stable posteriors.
 
-Two observations make the Phase 2 proposal loop cheap without changing
-a single bit of its output:
+The module is numpy-only, and :class:`MultiObjectiveGP` is its one
+code path (:class:`GaussianProcess` is a one-column view of it):
 
-* The Gram matrix -- and therefore every candidate Cholesky factor of
+* The Gram matrix -- and therefore every candidate Cholesky factor L of
   the lengthscale grid -- depends only on the *inputs* and the
   lengthscale, never on the objective values.  All objectives share the
-  same training inputs, so :class:`MultiObjectiveGP` factorises each
-  candidate lengthscale once and reuses the factor across objectives
-  (5 Choleskys per proposal instead of 15 for three objectives),
-  producing bit-identical posteriors to three independent
-  :class:`GaussianProcess` fits.
+  same training inputs, so each candidate lengthscale is factorised
+  once and scored for every objective from one forward solve
+  ``Z = L^-1 Y`` over all objective columns: the log marginal
+  likelihood of column j is ``-|Z_j|^2 / 2 - sum(log diag L) - n/2
+  log(2 pi)``.
+* Only the winning factors are inverted.  The fitted state keeps the
+  inverse factor ``L^-1``, so ``alpha = L^-T Z_j`` and the posterior
+  variance ``k** - |L^-1 k*|^2`` are matrix products, not solves.
 * Between consecutive BO iterations the training set grows by appended
-  rows only.  With ``refit_every > 1`` the fitted factor is *extended*
-  by a rank-r block Cholesky update (O(n^2) instead of O(n^3)) and the
+  rows only.  With ``refit_every > 1`` the inverse factor is *extended*
+  by the block-inverse identity (O(n^2) instead of O(n^3)) and the
   lengthscale grid re-runs only every ``refit_every`` observations;
-  alpha is always re-derived from the updated factor against the
-  re-standardised targets.  The default ``refit_every=1`` keeps the
-  exact legacy refit-every-iteration behaviour.
+  alpha is always re-derived from the extended factor against the
+  re-standardised targets.  The default ``refit_every=1`` refits the
+  grid on every call.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-
-try:  # scipy is optional: triangular solves merely accelerate updates
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _solve_triangular = None
 
 
 def pairwise_sq(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -101,29 +99,12 @@ def _median_heuristic(x: np.ndarray,
 
 
 def _standardise(y: np.ndarray) -> Tuple[float, float, np.ndarray]:
-    """Centre/scale targets exactly like :meth:`GaussianProcess.fit`."""
+    """Centre and scale one target column (a constant one keeps scale 1)."""
     mean = float(np.mean(y))
     std = float(np.std(y))
     if std < 1e-12:
         std = 1.0
     return mean, std, (y - mean) / std
-
-
-def _log_marginal(y_std: np.ndarray, chol: np.ndarray,
-                  alpha: np.ndarray) -> float:
-    n = y_std.shape[0]
-    return float(-0.5 * y_std @ alpha
-                 - np.sum(np.log(np.diag(chol)))
-                 - 0.5 * n * np.log(2 * np.pi))
-
-
-def _tri_solve(matrix: np.ndarray, rhs: np.ndarray,
-               lower: bool) -> np.ndarray:
-    """Triangular solve; falls back to a general solve without scipy."""
-    if _solve_triangular is not None:
-        return _solve_triangular(matrix, rhs, lower=lower,
-                                 check_finite=False)
-    return np.linalg.solve(matrix, rhs)
 
 
 @dataclass
@@ -173,110 +154,17 @@ def gp_stats() -> GpStats:
 
 
 @dataclass
-class GaussianProcess:
-    """GP regressor with SE kernel and fixed observation noise.
-
-    Attributes:
-        noise: Observation noise standard deviation (on standardised y).
-        lengthscale: SE kernel lengthscale; fitted if None.
-        tune_lengthscale: Refine the median heuristic by maximising the
-            log marginal likelihood over a small multiplicative grid.
-    """
-
-    noise: float = 1e-3
-    lengthscale: Optional[float] = None
-    tune_lengthscale: bool = True
-
-    def __post_init__(self) -> None:
-        if self.noise <= 0:
-            raise ConfigError("noise must be positive")
-        if self.lengthscale is not None and self.lengthscale <= 0:
-            raise ConfigError("lengthscale must be positive when set")
-        self._x: Optional[np.ndarray] = None
-        self._alpha: Optional[np.ndarray] = None
-        self._chol: Optional[np.ndarray] = None
-        self._y_mean = 0.0
-        self._y_std = 1.0
-        self._fitted_lengthscale = 1.0
-        self._variance = 1.0
-
-    @property
-    def fitted_lengthscale(self) -> float:
-        """The lengthscale in effect after :meth:`fit`."""
-        return self._fitted_lengthscale
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
-        """Fit the GP to observations (x: n x d, y: n)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if x.shape[0] != y.shape[0]:
-            raise ConfigError("x and y must have matching lengths")
-        if x.shape[0] == 0:
-            raise ConfigError("cannot fit a GP to zero observations")
-
-        self._y_mean, self._y_std, y_std = _standardise(y)
-
-        base = (self.lengthscale if self.lengthscale is not None
-                else _median_heuristic(x))
-        candidates = [base]
-        if self.tune_lengthscale and self.lengthscale is None:
-            candidates = [base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
-
-        best: Tuple[float, float, np.ndarray, np.ndarray] | None = None
-        for ls in candidates:
-            try:
-                chol, alpha = self._factorise(x, y_std, ls)
-            except np.linalg.LinAlgError:
-                continue
-            lml = self._log_marginal(y_std, chol, alpha)
-            if best is None or lml > best[0]:
-                best = (lml, ls, chol, alpha)
-        if best is None:
-            raise ConfigError("GP factorisation failed for all lengthscales")
-
-        _, self._fitted_lengthscale, self._chol, self._alpha = best
-        self._x = x
-        return self
-
-    def _factorise(self, x: np.ndarray, y_std: np.ndarray,
-                   lengthscale: float) -> Tuple[np.ndarray, np.ndarray]:
-        k = se_kernel(x, x, lengthscale, self._variance)
-        k[np.diag_indices_from(k)] += self.noise ** 2 + 1e-8
-        chol = np.linalg.cholesky(k)
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_std))
-        return chol, alpha
-
-    @staticmethod
-    def _log_marginal(y_std: np.ndarray, chol: np.ndarray,
-                      alpha: np.ndarray) -> float:
-        return _log_marginal(y_std, chol, alpha)
-
-    def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at query points (m x d)."""
-        if self._x is None or self._chol is None or self._alpha is None:
-            raise ConfigError("predict() called before fit()")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        k_star = se_kernel(self._x, x, self._fitted_lengthscale, self._variance)
-        mean_std = k_star.T @ self._alpha
-        v = np.linalg.solve(self._chol, k_star)
-        var = self._variance - np.sum(v ** 2, axis=0)
-        np.maximum(var, 1e-12, out=var)
-        mean = mean_std * self._y_std + self._y_mean
-        std = np.sqrt(var) * self._y_std
-        return mean, std
-
-
-@dataclass
 class _ObjectiveModel:
-    """Fitted state of one objective: its lengthscale, factor and alpha.
+    """Fitted state of one objective: lengthscale, inverse factor, alpha.
 
-    ``chol`` is shared (by reference) between objectives that selected
-    the same lengthscale, so extension and prediction work is done once
-    per distinct factor, not once per objective.
+    ``inv_chol`` (the inverse of the lower Cholesky factor) is shared by
+    reference between objectives that selected the same lengthscale, so
+    extension and prediction work is done once per distinct factor, not
+    once per objective.
     """
 
     lengthscale: float
-    chol: np.ndarray
+    inv_chol: np.ndarray
     alpha: np.ndarray
     y_mean: float
     y_std: float
@@ -285,19 +173,19 @@ class _ObjectiveModel:
 class MultiObjectiveGP:
     """Per-objective GPs over shared inputs with shared factorisations.
 
-    Fitting is bit-identical to one :class:`GaussianProcess` per
-    objective column: the median heuristic, the candidate lengthscale
-    grid, every Gram matrix and every Cholesky factor depend only on
-    the (shared) inputs, so they are computed once and reused while the
-    per-objective alpha/LML selection replays the scalar arithmetic
-    exactly.  :meth:`predict` likewise shares ``k_star`` and the
-    variance solve between objectives that fitted the same lengthscale.
+    The median heuristic, the candidate lengthscale grid, every Gram
+    matrix and every Cholesky factor depend only on the (shared) inputs,
+    so they are computed once per fit; each objective then selects its
+    lengthscale by log marginal likelihood (strictly greater wins, so
+    the first of tied candidates is kept).  :meth:`predict` shares
+    ``k_star`` and the variance product between objectives that fitted
+    the same lengthscale.
 
     ``refit_every`` controls the incremental path: with the default 1
     every :meth:`fit` re-runs the exact grid search; with K > 1 a fit
     whose inputs extend the previous training set by appended rows
-    reuses the fitted lengthscales and extends each Cholesky factor by
-    a rank-r block update, re-running the grid only once K new
+    reuses the fitted lengthscales and extends each inverse factor by a
+    rank-r block update, re-running the grid only once K new
     observations have accumulated (or whenever the update is not
     applicable -- changed prefix, changed width, non-PD extension).
 
@@ -306,7 +194,7 @@ class MultiObjectiveGP:
         lengthscale: Fixed SE lengthscale; fitted per objective if None.
         tune_lengthscale: Grid-refine the median heuristic.
         refit_every: Full lengthscale-grid refit cadence in observations
-            (1 = always refit, the exact scalar behaviour).
+            (1 = always refit).
     """
 
     def __init__(self, noise: float = 1e-3,
@@ -372,15 +260,20 @@ class MultiObjectiveGP:
 
     def _full_fit(self, x: np.ndarray, y: np.ndarray) -> None:
         start = time.perf_counter()
+        n, m = y.shape
         sq = pairwise_sq(x, x)
         base = (self.lengthscale if self.lengthscale is not None
                 else _median_heuristic(x, sq=sq))
         candidates = [base]
         if self.tune_lengthscale and self.lengthscale is None:
             candidates = [base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        columns = [_standardise(y[:, j]) for j in range(m)]
+        y_std = np.column_stack([column[2] for column in columns])
 
         jitter = self.noise ** 2 + 1e-8
-        factors: List[Tuple[float, np.ndarray]] = []
+        half_n_log_2pi = 0.5 * n * np.log(2 * np.pi)
+        # Per objective: (lml, lengthscale, factor, forward-solve column).
+        best: List[Optional[tuple]] = [None] * m
         for ls in candidates:
             k = kernel_from_sq(sq, ls, self._variance)
             k[np.diag_indices_from(k)] += jitter
@@ -389,37 +282,40 @@ class MultiObjectiveGP:
             except np.linalg.LinAlgError:
                 continue
             _gp_stats.factorisations += 1
-            factors.append((ls, chol))
-        if not factors:
+            z = np.linalg.solve(chol, y_std)
+            lml = (-0.5 * np.sum(z ** 2, axis=0)
+                   - np.sum(np.log(np.diag(chol))) - half_n_log_2pi)
+            for j in range(m):
+                if best[j] is None or lml[j] > best[j][0]:
+                    best[j] = (lml[j], ls, chol, z[:, j])
+        if best[0] is None:
             raise ConfigError("GP factorisation failed for all lengthscales")
 
+        inverses: Dict[int, np.ndarray] = {}
         models: List[_ObjectiveModel] = []
-        for j in range(y.shape[1]):
-            y_mean, y_scale, y_std = _standardise(y[:, j])
-            best: Tuple[float, float, np.ndarray, np.ndarray] | None = None
-            for ls, chol in factors:
-                alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_std))
-                lml = _log_marginal(y_std, chol, alpha)
-                if best is None or lml > best[0]:
-                    best = (lml, ls, chol, alpha)
+        for (_, ls, chol, z), (y_mean, y_scale, _) in zip(best, columns):
+            inv_chol = inverses.get(id(chol))
+            if inv_chol is None:
+                inv_chol = inverses[id(chol)] = np.linalg.inv(chol)
             models.append(_ObjectiveModel(
-                lengthscale=best[1], chol=best[2], alpha=best[3],
+                lengthscale=ls, inv_chol=inv_chol, alpha=inv_chol.T @ z,
                 y_mean=y_mean, y_std=y_scale))
         self._x = x
         self._models = models
-        self._grid_n = x.shape[0]
-        _gp_stats.full_fits += len(models)
+        self._grid_n = n
+        _gp_stats.full_fits += m
         _gp_stats.fit_wall_s += time.perf_counter() - start
 
     def _extend(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Grow every factor by the appended rows (rank-r block update).
+        """Grow every inverse factor by the appended rows.
 
         For K = [[K_old, C], [C.T, D]] the lower Cholesky factor is
-        [[L, 0], [B.T, Ls]] with B = L^-1 C and Ls = chol(D - B.T B);
-        alpha is re-derived from the extended factor against the
-        re-standardised targets.  Raises ``LinAlgError`` when the
-        extension is not positive definite, which the caller turns into
-        an exact full refit.
+        [[L, 0], [B.T, Ls]] with B = L^-1 C and Ls = chol(D - B.T B), so
+        its inverse is [[L^-1, 0], [-Ls^-1 B.T L^-1, Ls^-1]]; alpha is
+        re-derived from the extended inverse against the re-standardised
+        targets.  Raises ``LinAlgError`` when the extension is not
+        positive definite, which the caller turns into an exact full
+        refit.
         """
         start = time.perf_counter()
         prev_n, n = self._x.shape[0], x.shape[0]
@@ -431,28 +327,27 @@ class MultiObjectiveGP:
         extended: Dict[int, np.ndarray] = {}
         models: List[_ObjectiveModel] = []
         for j, model in enumerate(self._models):
-            new_chol = extended.get(id(model.chol))
-            if new_chol is None:
+            new_inv = extended.get(id(model.inv_chol))
+            if new_inv is None:
                 ls = model.lengthscale
                 corner = kernel_from_sq(sq_corner, ls, self._variance)
                 corner[np.diag_indices_from(corner)] += jitter
-                b = _tri_solve(model.chol,
-                               kernel_from_sq(sq_cross, ls, self._variance),
-                               lower=True)
-                corner_chol = np.linalg.cholesky(corner - b.T @ b)
+                b = model.inv_chol @ kernel_from_sq(sq_cross, ls,
+                                                    self._variance)
+                corner_inv = np.linalg.inv(
+                    np.linalg.cholesky(corner - b.T @ b))
                 _gp_stats.factorisations += 1
-                new_chol = np.empty((n, n))
-                new_chol[:prev_n, :prev_n] = model.chol
-                new_chol[:prev_n, prev_n:] = 0.0
-                new_chol[prev_n:, :prev_n] = b.T
-                new_chol[prev_n:, prev_n:] = corner_chol
-                extended[id(model.chol)] = new_chol
+                new_inv = np.empty((n, n))
+                new_inv[:prev_n, :prev_n] = model.inv_chol
+                new_inv[:prev_n, prev_n:] = 0.0
+                new_inv[prev_n:, :prev_n] = -corner_inv @ (b.T
+                                                           @ model.inv_chol)
+                new_inv[prev_n:, prev_n:] = corner_inv
+                extended[id(model.inv_chol)] = new_inv
             y_mean, y_scale, y_std = _standardise(y[:, j])
-            alpha = _tri_solve(new_chol.T,
-                               _tri_solve(new_chol, y_std, lower=True),
-                               lower=False)
             models.append(_ObjectiveModel(
-                lengthscale=model.lengthscale, chol=new_chol, alpha=alpha,
+                lengthscale=model.lengthscale, inv_chol=new_inv,
+                alpha=new_inv.T @ (new_inv @ y_std),
                 y_mean=y_mean, y_std=y_scale))
         self._x = x
         self._models = models
@@ -468,19 +363,54 @@ class MultiObjectiveGP:
         sq_star = pairwise_sq(self._x, x)
         means = np.empty((x.shape[0], len(self._models)))
         stds = np.empty_like(means)
-        shared: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
+        shared: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for j, model in enumerate(self._models):
-            key = (model.lengthscale, id(model.chol))
-            entry = shared.get(key)
+            entry = shared.get(id(model.inv_chol))
             if entry is None:
                 k_star = kernel_from_sq(sq_star, model.lengthscale,
                                         self._variance)
-                v = np.linalg.solve(model.chol, k_star)
+                v = model.inv_chol @ k_star
                 var = self._variance - np.sum(v ** 2, axis=0)
                 np.maximum(var, 1e-12, out=var)
-                entry = (k_star, np.sqrt(var))
-                shared[key] = entry
+                entry = shared[id(model.inv_chol)] = (k_star, np.sqrt(var))
             k_star, sqrt_var = entry
             means[:, j] = (k_star.T @ model.alpha) * model.y_std + model.y_mean
             stds[:, j] = sqrt_var * model.y_std
         return means, stds
+
+
+@dataclass
+class GaussianProcess:
+    """Single-objective GP: a one-column view of :class:`MultiObjectiveGP`.
+
+    Attributes:
+        noise: Observation noise standard deviation (on standardised y).
+        lengthscale: SE kernel lengthscale; fitted if None.
+        tune_lengthscale: Refine the median heuristic by maximising the
+            log marginal likelihood over a small multiplicative grid.
+    """
+
+    noise: float = 1e-3
+    lengthscale: Optional[float] = None
+    tune_lengthscale: bool = True
+
+    def __post_init__(self) -> None:
+        self._model = MultiObjectiveGP(self.noise, self.lengthscale,
+                                       self.tune_lengthscale)
+
+    @property
+    def fitted_lengthscale(self) -> float:
+        """The lengthscale in effect after :meth:`fit` (1.0 before)."""
+        if self._model.num_objectives == 0:
+            return 1.0
+        return self._model.fitted_lengthscales[0]
+
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        """Fit the GP to observations (x: n x d, y: n)."""
+        self._model.fit(x, np.asarray(y, dtype=float).reshape(-1, 1))
+        return self
+
+    def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at query points (m x d)."""
+        means, stds = self._model.predict(x)
+        return means[:, 0], stds[:, 0]

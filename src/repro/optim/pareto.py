@@ -6,7 +6,7 @@ callers negate maximisation objectives (e.g. success rate) before entry.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,50 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
     dominated = np.any(le & lt, axis=0)
     return ~dominated
+
+
+class IncrementalFront:
+    """The non-dominated rows of a growing point set, kept row by row.
+
+    ``points`` holds every row added so far, in order, and :attr:`front`
+    its non-dominated rows, in the same order.  A new row joins unless
+    some front row strictly dominates it -- so duplicates of a front row
+    are kept, as in :func:`non_dominated_mask` -- and evicts the front
+    rows it strictly dominates.  By transitivity a row dominated by any
+    earlier row is dominated by a front row, so after every
+    :meth:`extend` the front equals ``pareto_front(points)`` bit for bit
+    at O(front) cost per row instead of O(n^2) per call.
+    """
+
+    def __init__(self) -> None:
+        self.points: Optional[np.ndarray] = None
+        self._front: List[int] = []
+
+    def __len__(self) -> int:
+        return 0 if self.points is None else self.points.shape[0]
+
+    @property
+    def front(self) -> np.ndarray:
+        """The non-dominated rows of :attr:`points`, in input order."""
+        return self.points[self._front]
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Append rows (k x d) and fold each one into the front."""
+        rows = np.array(rows, dtype=float, ndmin=2)
+        start = len(self)
+        self.points = (rows if self.points is None
+                       else np.concatenate([self.points, rows]))
+        for index in range(start, start + rows.shape[0]):
+            row = self.points[index]
+            front = self.points[self._front]
+            if np.any(np.all(front <= row, axis=1)
+                      & np.any(front < row, axis=1)):
+                continue
+            beaten = (np.all(row <= front, axis=1)
+                      & np.any(row < front, axis=1))
+            self._front = [k for k, lost in zip(self._front, beaten)
+                           if not lost]
+            self._front.append(index)
 
 
 def pareto_front(points: np.ndarray) -> np.ndarray:

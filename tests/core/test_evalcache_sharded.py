@@ -9,6 +9,7 @@ observe a torn entry and never lose a published value.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -91,6 +92,26 @@ class TestLegacyMigration:
         fresh = EvalCache(capacity=8, persist_dir=tmp_path)
         assert fresh.get(("old",)) == "v"
         assert fresh.stats.migrated == 0
+
+    def test_migration_between_probes_is_a_hit(self, tmp_path, monkeypatch):
+        # Another process migrates the entry after this reader's shard
+        # probe missed but before its legacy probe: the entry exists
+        # (in the shard), so the read must hit.
+        self._write_legacy(tmp_path, ("old",), "v")
+        cache = EvalCache(capacity=8, persist_dir=tmp_path)
+        legacy_probe = cache._legacy_disk_path
+
+        def racing_probe(key):
+            legacy = legacy_probe(key)
+            shard = cache._disk_path(key)
+            shard.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(legacy, shard)
+            return legacy
+
+        monkeypatch.setattr(cache, "_legacy_disk_path", racing_probe)
+        assert cache.get(("old",)) == "v"
+        assert cache.stats.disk_hits == 1
+        assert cache.stats.migrated == 0
 
     def test_corrupt_entry_quarantined_inside_shard(self, tmp_path):
         cache = EvalCache(capacity=8, persist_dir=tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.optim.pareto import (
+    IncrementalFront,
     crowding_distance,
     dominates,
     non_dominated_mask,
@@ -130,3 +131,42 @@ class TestCrowdingDistance:
         distance = crowding_distance(points)
         assert distance[1] == pytest.approx(distance[2])
         assert distance[2] == pytest.approx(distance[3])
+
+
+class TestIncrementalFront:
+    # Small integer grids make ties and exact duplicates common.
+    @given(
+        points=hnp.arrays(
+            dtype=float,
+            shape=st.tuples(st.integers(1, 40), st.integers(1, 4)),
+            elements=st.integers(0, 3).map(float),
+        ),
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_batch_mask_after_every_extend(self, points, cuts):
+        archive = IncrementalFront()
+        bounds = sorted({c for c in cuts if c < len(points)} | {len(points)})
+        start = 0
+        for stop in bounds:
+            if stop == start:
+                continue
+            archive.extend(points[start:stop])
+            start = stop
+            seen = points[:stop]
+            assert np.array_equal(archive.points, seen)
+            assert np.array_equal(archive.front,
+                                  seen[non_dominated_mask(seen)])
+
+    def test_duplicates_of_front_rows_are_kept(self):
+        archive = IncrementalFront()
+        archive.extend(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        archive.extend(np.array([[1.0, 2.0]]))
+        archive.extend(np.array([[3.0, 3.0], [0.5, 0.5]]))
+        assert len(archive) == 5
+        assert np.array_equal(archive.front, [[0.5, 0.5]])
+
+    def test_single_row_is_its_own_front(self):
+        archive = IncrementalFront()
+        archive.extend(np.array([[1.0, 1.0]]))
+        assert np.array_equal(archive.front, [[1.0, 1.0]])
