@@ -48,7 +48,6 @@ from repro.airlearning.env import (
     SUCCESS_REWARD,
 )
 from repro.airlearning.sensors import RaycastSensor, apply_sensor_noise
-from repro.backend import active_backend
 from repro.errors import ConfigError, SimulationError
 
 #: UAV body margin used by :meth:`Arena.collides` (its default argument).
@@ -70,13 +69,11 @@ def step_lanes_kernel(act: np.ndarray, speed: np.ndarray,
                       wind_y: float = 0.0):
     """One lockstep transition over gathered lane rows (pure function).
 
-    This is the oracle step kernel behind the backend seam: inputs are
-    the *pre-step* rows for the active lanes (``steps`` is the counter
-    before this transition), outputs are the post-step state columns
-    plus the reward/termination flags, in the order ``(speed, heading,
-    x, y, goal_distance, reward, collided, success, done)``.  Every
-    output row depends only on its own input row, so chunk-splitting
-    the lane axis is bit-neutral.
+    Inputs are the *pre-step* rows for the active lanes (``steps`` is
+    the counter before this transition), outputs are the post-step
+    state columns plus the reward/termination flags, in the order
+    ``(speed, heading, x, y, goal_distance, reward, collided, success,
+    done)``.  Every output row depends only on its own input row.
 
     ``wind_x``/``wind_y`` add the scenario's steady wind drift after
     the commanded motion; at the 0.0 default the arithmetic is skipped
@@ -127,10 +124,8 @@ def observe_lanes_kernel(sensor: RaycastSensor, size_m: float,
                          noise: float = 0.0) -> np.ndarray:
     """Fresh observation rows for gathered lanes (pure function).
 
-    The oracle observation kernel behind the backend seam:
     ``NavigationEnv._observe`` batched over the given lane rows.  Each
-    returned row is a pure function of its own lane's state, so the
-    lane axis is chunkable without changing any value.
+    returned row is a pure function of its own lane's state.
 
     ``noise`` applies the scenario's deterministic sensor perturbation
     (:func:`~repro.airlearning.sensors.apply_sensor_noise`); the 0.0
@@ -181,9 +176,6 @@ class VecNavigationEnv:
         sensor: Shared raycast sensor (defaults to the scalar default).
         max_steps: Per-episode step limit.
         dynamics: Point-mass dynamics supplying ``dt``/``speed_tau``.
-        backend: Array backend executing the step/observe kernels
-            (defaults to the process-wide active backend at
-            construction time).
         wind: Steady world-frame wind velocity ``(wx, wy)`` shared by
             every lane (the scenario's
             :attr:`~repro.airlearning.scenarios.ScenarioSpec.wind_vector`);
@@ -196,7 +188,7 @@ class VecNavigationEnv:
                  sensor: Optional[RaycastSensor] = None,
                  max_steps: int = MAX_EPISODE_STEPS,
                  dynamics: Optional[PointMassDynamics] = None,
-                 backend=None, wind: Sequence[float] = (0.0, 0.0),
+                 wind: Sequence[float] = (0.0, 0.0),
                  sensor_noise: float = 0.0):
         if not schedules or any(len(s) == 0 for s in schedules):
             raise ConfigError("every lane needs at least one arena")
@@ -206,7 +198,6 @@ class VecNavigationEnv:
             raise ConfigError("all scheduled arenas must share one size")
         self.size_m = sizes.pop()
         self.sensor = sensor or RaycastSensor()
-        self.backend = backend if backend is not None else active_backend()
         self.dynamics = dynamics or PointMassDynamics()
         self.max_steps = max_steps
         # The scalar dynamics recompute dt / (speed_tau + dt) each step;
@@ -305,11 +296,10 @@ class VecNavigationEnv:
         if ((act < 0) | (act >= NUM_ACTIONS)).any():
             raise ConfigError(f"actions must be in [0, {NUM_ACTIONS})")
 
-        # The per-step arithmetic lives in step_lanes_kernel behind the
-        # backend seam; the env keeps the state scatter and episode
-        # bookkeeping.
+        # The per-step arithmetic lives in step_lanes_kernel; the env
+        # keeps the state scatter and episode bookkeeping.
         (speed, heading, x, y, goal_distance, reward, collided, success,
-         done) = self.backend.step_lanes(
+         done) = step_lanes_kernel(
             act, self._speed[lanes], self._heading[lanes],
             self._x[lanes], self._y[lanes], self._steps[lanes],
             self._prev_goal[lanes], self._goal_x[lanes],
@@ -392,7 +382,7 @@ class VecNavigationEnv:
         """
         if lanes is None:
             lanes = slice(None)
-        rows = self.backend.observe_lanes(
+        rows = observe_lanes_kernel(
             self.sensor, self.size_m, self._x[lanes], self._y[lanes],
             self._heading[lanes], self._speed[lanes],
             self._goal_x[lanes], self._goal_y[lanes],

@@ -1,221 +1,6 @@
-"""Pluggable array backends for the batched kernel surfaces.
+"""Profile-guided chunk autotuning for the process pool.
 
-PR 3 and PR 5 turned both hot loops into pure ``(B, L)`` array
-expressions; this package puts a *seam* behind the three batched kernel
-surfaces (:mod:`repro.scalesim.batch`, :mod:`repro.soc.batch` and the
-vec rollout engine in :mod:`repro.airlearning.vecenv`) so every future
-sweep can ride faster execution strategies without touching optimiser
-code:
-
-* ``numpy`` -- the existing single-process NumPy kernels, the repo's
-  bit-exact oracle and the default.
-* ``threaded`` -- chunk-splits large batch invocations across a thread
-  pool (NumPy ufunc inner loops release the GIL); every kernel is
-  row-independent, so chunking is bit-neutral and the backend keeps the
-  ``exact`` tolerance tier.
-* ``numba`` / ``jax`` -- optional accelerators, registered only when
-  the package is importable and validated against the oracle to their
-  declared :class:`~repro.backend.tiers.ToleranceTier` instead of
-  bit-equality (:mod:`repro.backend.validate`).
-
-Selection order: an explicit name (``--backend`` / ``AutoPilot``
-argument) beats the ``REPRO_BACKEND`` environment variable, which beats
-the ``numpy`` default.  The active backend is process-wide
-(:func:`active_backend`); :func:`use_backend` scopes a switch.
-
-This module stays import-light on purpose: backends are constructed
-lazily by registered factories, so importing :mod:`repro.backend` from
-the kernel modules can never form a cycle.
+The only module here is :mod:`repro.backend.autotune`, which learns the
+design-batch chunk size :class:`~repro.core.parallel.BatchDssocEvaluator`
+ships to each pool worker from timed calls on this machine.
 """
-
-from __future__ import annotations
-
-import importlib.util
-import os
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Union
-
-from repro.backend.tiers import (  # noqa: F401  (re-exported)
-    TIER_EXACT,
-    TIER_FP32,
-    TIER_FP64,
-    TIERS,
-    ToleranceTier,
-)
-from repro.errors import ConfigError
-
-#: Environment variable naming the default backend for the process.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-@dataclass
-class _BackendSpec:
-    """One registered backend: how to build it and whether it can be."""
-
-    name: str
-    factory: Callable[[], "object"]
-    available: Callable[[], bool]
-    reason: str  # shown when the backend is requested but unavailable
-
-
-_registry: Dict[str, _BackendSpec] = {}
-_instances: Dict[str, "object"] = {}
-_active: Optional["object"] = None
-_lock = threading.Lock()
-
-
-def register_backend(name: str, factory: Callable[[], "object"], *,
-                     available: Optional[Callable[[], bool]] = None,
-                     reason: str = "") -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    ``available`` is probed before construction; an unavailable backend
-    still *lists* (so help text can name it) but raises a clear
-    :class:`ConfigError` carrying ``reason`` when requested.
-    """
-    _registry[name] = _BackendSpec(
-        name=name,
-        factory=factory,
-        available=available or (lambda: True),
-        reason=reason,
-    )
-    _instances.pop(name, None)
-
-
-def registered_backends() -> List[str]:
-    """Every registered backend name, available or not."""
-    return sorted(_registry)
-
-
-def available_backends() -> List[str]:
-    """Backend names whose availability probe passes right now."""
-    return [name for name in sorted(_registry)
-            if _registry[name].available()]
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its availability probe passes."""
-    spec = _registry.get(name)
-    return spec is not None and spec.available()
-
-
-def resolve_backend_name(explicit: Optional[str] = None) -> str:
-    """Backend name from explicit arg > ``REPRO_BACKEND`` > ``numpy``."""
-    if explicit:
-        return explicit
-    from_env = os.environ.get(BACKEND_ENV_VAR, "").strip()
-    return from_env or "numpy"
-
-
-def get_backend(name: str) -> "object":
-    """The (cached) backend instance for ``name``.
-
-    Raises :class:`ConfigError` for unknown names and for registered
-    backends whose availability probe fails (e.g. ``numba`` without the
-    package installed).
-    """
-    spec = _registry.get(name)
-    if spec is None:
-        raise ConfigError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(registered_backends())}")
-    if not spec.available():
-        detail = f" ({spec.reason})" if spec.reason else ""
-        raise ConfigError(
-            f"backend {name!r} is not available on this machine{detail}; "
-            f"available backends: {', '.join(available_backends())}")
-    with _lock:
-        instance = _instances.get(name)
-        if instance is None:
-            instance = spec.factory()
-            _instances[name] = instance
-    return instance
-
-
-def active_backend() -> "object":
-    """The process-wide active backend (resolving lazily on first use)."""
-    global _active
-    if _active is None:
-        _active = get_backend(resolve_backend_name())
-    return _active
-
-
-def set_active_backend(backend: Union[str, "object", None]) -> "object":
-    """Make ``backend`` (a name or an instance) the process-wide default.
-
-    Passing ``None`` re-resolves from the environment on next use.
-    Returns the newly active backend (or the lazily re-resolved one).
-    """
-    global _active
-    if backend is None:
-        _active = None
-        return active_backend()
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    _active = backend
-    return backend
-
-
-@contextmanager
-def use_backend(backend: Union[str, "object"]) -> Iterator["object"]:
-    """Scope the active backend to a ``with`` block, then restore."""
-    global _active
-    previous = _active
-    chosen = set_active_backend(backend)
-    try:
-        yield chosen
-    finally:
-        _active = previous
-
-
-def reset_backends() -> None:
-    """Drop cached instances and the active selection (test hook)."""
-    global _active
-    with _lock:
-        _instances.clear()
-    _active = None
-
-
-def _importable(module: str) -> Callable[[], bool]:
-    """Availability probe: the accelerator package can be imported."""
-    def probe() -> bool:
-        try:
-            return importlib.util.find_spec(module) is not None
-        except (ImportError, ValueError):
-            return False
-    return probe
-
-
-def _register_builtins() -> None:
-    """Register the built-in backends with lazy factories."""
-    def numpy_factory() -> "object":
-        from repro.backend.base import NumpyBackend
-        return NumpyBackend()
-
-    def threaded_factory() -> "object":
-        from repro.backend.threaded import ThreadedBackend
-        return ThreadedBackend()
-
-    def numba_factory() -> "object":
-        from repro.backend.accel import NumbaBackend
-        return NumbaBackend()
-
-    def jax_factory() -> "object":
-        from repro.backend.accel import JaxBackend
-        return JaxBackend()
-
-    register_backend("numpy", numpy_factory)
-    register_backend("threaded", threaded_factory)
-    register_backend(
-        "numba", numba_factory, available=_importable("numba"),
-        reason="requires the optional 'numba' package "
-               "(pip install repro[accel])")
-    register_backend(
-        "jax", jax_factory, available=_importable("jax"),
-        reason="requires the optional 'jax' package "
-               "(pip install repro[accel])")
-
-
-_register_builtins()

@@ -1,12 +1,12 @@
-"""Profile-guided chunk autotuning for the array backends.
+"""Profile-guided chunk autotuning for the process pool.
 
-Chunk sizes are a machine property: the break-even point where thread
-fan-out beats single-call NumPy depends on core count, cache sizes and
-BLAS builds, not on the workload.  This module learns them from *real
-timed calls* instead of guessing:
+Chunk sizes are a machine property: the break-even point where shipping
+a design batch to a pool worker beats evaluating it in-process depends
+on core count, cache sizes and BLAS builds, not on the workload.  This
+module learns them from *real timed calls* instead of guessing:
 
-* backends and the batch evaluator record ``(chunk, items, wall_s)``
-  observations per ``(backend, surface)`` as they run;
+* the pooled batch evaluator records ``(chunk, items, wall_s)``
+  observations per ``(backend, surface)`` as it runs;
 * finished profiler reports are ingested too -- the existing
   :class:`~repro.soc.batch.BatchStats` rows carry the kernel wall time
   and kernel-simulated design counts, and
@@ -18,15 +18,17 @@ timed calls* instead of guessing:
   sizes have been measured -- callers keep their static heuristic as
   the fallback, so an untuned machine behaves exactly as before.
 
-Observations persist per machine (atomic temp + ``os.replace``, the
-checkpoint idiom) under ``$REPRO_TUNE_DIR/autotune.json`` or
-``~/.cache/repro/autotune.json``, so repeated sweeps start tuned.
-Every filesystem touch is best-effort: a missing, corrupt or read-only
-store degrades to in-memory tuning, never an error on the hot path.
+With ``REPRO_TUNE_DIR`` set, observations persist per machine under
+``$REPRO_TUNE_DIR/autotune.json`` (atomic temp + ``os.replace``, the
+checkpoint idiom), so repeated sweeps start tuned.  Unset, the profile
+lives in memory only and nothing is written -- a plain run leaves no
+files behind.  Every filesystem touch is best-effort: a missing,
+corrupt or read-only store degrades to in-memory tuning, never an error
+on the hot path.
 
 Tuning can only ever change *wall time*: every tuned surface is
-row-independent (see :mod:`repro.backend.base`), so the chunk size a
-caller picks cannot alter a single output bit.
+row-independent (each design is evaluated on its own), so the chunk
+size a caller picks cannot alter a single output bit.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ def machine_key() -> str:
             f"-cpu{os.cpu_count() or 1}")
 
 
-def default_store_path() -> Path:
-    """``$REPRO_TUNE_DIR/autotune.json`` or the user-cache default."""
+def default_store_path() -> Optional[Path]:
+    """``$REPRO_TUNE_DIR/autotune.json``, or ``None`` (in-memory only)."""
     root = os.environ.get("REPRO_TUNE_DIR", "").strip()
     if root:
         return Path(root) / "autotune.json"
-    return Path(os.path.expanduser("~")) / ".cache" / "repro" / "autotune.json"
+    return None
 
 
 class Autotuner:
@@ -83,6 +85,8 @@ class Autotuner:
         if self._loaded:
             return
         self._loaded = True
+        if self.path is None:
+            return
         try:
             payload = json.loads(self.path.read_text())
         except (OSError, json.JSONDecodeError, ValueError):
@@ -106,12 +110,14 @@ class Autotuner:
         """Persist this machine's profile (best-effort, atomic)."""
         with self._lock:
             self._ensure_loaded()
+            self._dirty = 0
+            if self.path is None:
+                return  # no store configured; tuning stays in-memory
             section = {
                 "observations": {key: [list(row) for row in rows]
                                  for key, rows in self._observations.items()},
                 "hints": dict(self._hints),
             }
-            self._dirty = 0
         try:
             payload: Dict[str, object] = {}
             try:

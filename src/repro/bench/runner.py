@@ -35,10 +35,12 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.backend import get_backend, use_backend
 from repro.bench.metrics import CellMetrics, metrics_for
 from repro.bench.suite import BenchCell, BenchSuite
-from repro.core.checkpoint import atomic_write_json
+from repro.core.checkpoint import (
+    atomic_write_json,
+    check_legacy_array_backend,
+)
 from repro.core.pipeline import AutoPilot, AutoPilotResult
 from repro.errors import CheckpointError, ConfigError
 
@@ -92,9 +94,8 @@ class BenchManifest:
     proposal_batch: int = 1
     fidelity: str = "off"
     promotion_eta: float = 0.5
-    array_backend: str = "numpy"
     #: Worker-pool mode (``"cold"``/``"warm"``); verified on resume
-    #: like ``array_backend``.
+    #: like ``proposal_batch``.
     pool: str = "cold"
     #: Concurrent-cell count the sweep was launched with.  Recorded and
     #: restored by ``--resume`` but *not* verified: it is a scheduling
@@ -137,6 +138,7 @@ class BenchManifest:
                 f"bench manifest at {path} has schema "
                 f"{payload.get('schema')!r}; this version reads schema "
                 f"{BENCH_SCHEMA_VERSION}")
+        check_legacy_array_backend(payload, path)
         known = {f.name for f in fields(cls)}
         try:
             return cls(**{k: v for k, v in payload.items() if k in known})
@@ -215,7 +217,6 @@ class BenchRunner:
                 "proposal_batch", 1),
             fidelity=pilot.fidelity,
             promotion_eta=pilot.promotion_eta,
-            array_backend=pilot.array_backend,
             pool=pilot.pool,
             bench_parallel=self.cell_parallel,
             cells={cell.cell_id: "pending" for cell in suite.cells()})
@@ -228,7 +229,7 @@ class BenchRunner:
             name for name in ("scenarios", "platforms", "budget", "seed",
                               "sensor_fps", "frontend_backend", "trainer",
                               "proposal_batch", "fidelity", "promotion_eta",
-                              "array_backend", "pool")
+                              "pool")
             if getattr(previous, name) != getattr(current, name)]
         if mismatched:
             details = ", ".join(
@@ -268,7 +269,6 @@ class BenchRunner:
             trainer=pilot.frontend.trainer,
             fidelity=pilot.fidelity,
             promotion_eta=pilot.promotion_eta,
-            array_backend=pilot.array_backend,
             pool=pilot.pool)
 
     # ------------------------------------------------------------------
@@ -359,26 +359,20 @@ class BenchRunner:
         cells = list(suite.cells())
         metrics: List[CellMetrics] = []
         results: Dict[str, AutoPilotResult] = {}
-        # Pin the process-wide active backend for the whole fan-out:
-        # every clone enters use_backend() with the same backend, so
-        # one cell finishing cannot restore a *different* backend under
-        # a cell still running.
-        backend = get_backend(self.autopilot.array_backend)
         executor = ThreadPoolExecutor(
             max_workers=min(self.cell_parallel, len(cells)),
             thread_name_prefix="bench-cell")
-        with use_backend(backend):
-            try:
-                futures = [executor.submit(run_cell, cell,
-                                           self._clone_autopilot())
-                           for cell in cells]
-                for cell, future in zip(cells, futures):
-                    result = future.result()
-                    metrics.append(metrics_for(cell, result))
-                    results[cell.cell_id] = result
-            finally:
-                # Cancel the never-started cells, but wait for in-flight
-                # ones: letting them run past this call would race a
-                # same-process resume against their checkpoint writes.
-                executor.shutdown(wait=True, cancel_futures=True)
+        try:
+            futures = [executor.submit(run_cell, cell,
+                                       self._clone_autopilot())
+                       for cell in cells]
+            for cell, future in zip(cells, futures):
+                result = future.result()
+                metrics.append(metrics_for(cell, result))
+                results[cell.cell_id] = result
+        finally:
+            # Cancel the never-started cells, but wait for in-flight
+            # ones: letting them run past this call would race a
+            # same-process resume against their checkpoint writes.
+            executor.shutdown(wait=True, cancel_futures=True)
         return BenchResult(suite=suite, metrics=metrics, results=results)

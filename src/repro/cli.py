@@ -30,12 +30,6 @@ from repro.airlearning.scenarios import (
     scenario_ids,
 )
 from repro.airlearning.trainer import CemTrainer, ROLLOUT_ENGINES
-from repro.backend import (
-    get_backend,
-    registered_backends,
-    resolve_backend_name,
-    use_backend,
-)
 from repro.baselines.computers import FIG5_BASELINES
 from repro.bench import (
     BenchManifest,
@@ -87,15 +81,7 @@ def _task(args: argparse.Namespace) -> TaskSpec:
                     sensor_fps=args.sensor_fps)
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=registered_backends(),
-                        default=None,
-                        help="array backend for the batched kernels "
-                             "(default: REPRO_BACKEND or numpy). numpy is "
-                             "the bit-exact oracle; threaded chunk-splits "
-                             "the oracle kernels over a thread pool "
-                             "(bit-identical); numba/jax need the 'accel' "
-                             "extra and are validated to tolerance tiers")
+def _add_pool(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pool", choices=POOL_MODES, default=None,
                         help="worker-pool mode (default: REPRO_POOL or "
                              "cold). cold spawns a fresh process pool per "
@@ -167,7 +153,6 @@ def _autopilot(args: argparse.Namespace) -> AutoPilot:
                      optimizer_kwargs=optimizer_kwargs or None,
                      fidelity=getattr(args, "fidelity", "off"),
                      promotion_eta=getattr(args, "promotion_eta", 0.5),
-                     array_backend=getattr(args, "backend", None),
                      pool=getattr(args, "pool", None))
 
 
@@ -180,7 +165,6 @@ def _restore_from_manifest(args: argparse.Namespace,
     args.proposal_batch = manifest.proposal_batch
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.backend = manifest.array_backend
     args.pool = manifest.pool
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
@@ -244,7 +228,6 @@ def _restore_bench_args(args: argparse.Namespace,
     args.proposal_batch = manifest.proposal_batch
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.backend = manifest.array_backend
     args.pool = manifest.pool
     # A scheduling knob, not part of the sweep identity: restored for
     # convenience but overridable (resume on a different machine may
@@ -357,11 +340,9 @@ def cmd_f1(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     policy = PolicyHyperparams(num_layers=args.layers,
                                num_filters=args.filters)
-    backend = get_backend(resolve_backend_name(
-        getattr(args, "backend", None)))
     profiler = Profiler()
-    profiler.annotate("backend", f"{backend.name} [{backend.tier.name}]")
-    with use_backend(backend), profiler.phase("sweep") as record:
+    profiler.annotate("backend", "numpy [exact]")
+    with profiler.phase("sweep") as record:
         results = accelerator_frontier(policy=policy)
         record.evaluations += len(results)
     rows = [[f"{r.pe_rows}x{r.pe_cols}", r.sram_kb,
@@ -405,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     checkpointing.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume the checkpointed run in DIR (task, seed, budget "
-             "and backend are restored from its manifest); the result "
+             "and pool mode are restored from its manifest); the result "
              "is bit-identical to an uninterrupted run")
-    _add_backend(design)
+    _add_pool(design)
     _add_phase1(design)
     _add_phase2(design)
     design.set_defaults(func=cmd_design)
@@ -451,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_ckpt.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume the checkpointed bench sweep in DIR (scenario set, "
-             "platforms, seed, budget and backend are restored from its "
+             "platforms, seed, budget and pool mode are restored from its "
              "manifest); the report is bit-identical to an "
              "uninterrupted sweep")
-    _add_backend(bench)
+    _add_pool(bench)
     _add_phase1(bench)
     _add_phase2(bench)
     bench.set_defaults(func=cmd_bench)
@@ -466,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=None,
                          help="processes for batched design evaluation "
                               "and Phase 1 training")
-    _add_backend(compare)
+    _add_pool(compare)
     _add_phase1(compare)
     _add_phase2(compare)
     compare.set_defaults(func=cmd_compare)
@@ -486,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--profile", action="store_true",
                        help="print sweep timing, throughput and "
                             "simulator-cache statistics")
-    _add_backend(sweep)
+    _add_pool(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

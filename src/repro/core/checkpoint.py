@@ -117,6 +117,30 @@ def load_pickle(path: Union[str, os.PathLike],
         return None
 
 
+#: ``array_backend`` values older manifests may record whose arithmetic
+#: was bit-identical to the NumPy kernels every run now uses.
+EXACT_ARRAY_BACKENDS = ("numpy", "threaded")
+
+
+def check_legacy_array_backend(payload: Dict[str, Any],
+                               path: Path) -> None:
+    """Refuse a manifest whose journals came from inexact arithmetic.
+
+    Manifests written while the array backend was selectable record it
+    as ``array_backend``.  ``numpy`` and ``threaded`` produced the same
+    bits as today's kernels, so those runs resume unchanged; any other
+    value (``numba``, ``jax``) ran at a looser tolerance, and splicing
+    its journals with exact results would corrupt the run.
+    """
+    recorded = payload.get("array_backend", "numpy")
+    if recorded not in EXACT_ARRAY_BACKENDS:
+        raise CheckpointError(
+            f"cannot resume {path}: it records array_backend "
+            f"{recorded!r}, whose results are not bit-identical to the "
+            f"NumPy kernels (resumable: "
+            f"{', '.join(EXACT_ARRAY_BACKENDS)})")
+
+
 @dataclass
 class RunManifest:
     """Durable identity and progress record of one checkpointed run.
@@ -149,17 +173,9 @@ class RunManifest:
     #: unchanged (and bit-identical single-fidelity behaviour).
     fidelity: str = "off"
     promotion_eta: float = 0.5
-    #: Array backend the run executes its batched kernels on.  Part of
-    #: the run identity so ``--resume`` restores (and verifies) it: the
-    #: registered backends are tolerance-tier-validated, not all
-    #: bit-exact, so silently resuming a journal under a different
-    #: backend could splice two numeric streams.  Defaults to the
-    #: oracle so manifests written before this field existed load
-    #: unchanged.
-    array_backend: str = "numpy"
     #: Worker-pool mode (``"cold"``/``"warm"``) the run executes under.
     #: Recorded (and restored by ``--resume``) for provenance, and
-    #: verified like ``array_backend``: warm runs are required to be
+    #: verified like ``proposal_batch``: warm runs are required to be
     #: bit-identical to cold, but recording the mode keeps any future
     #: divergence diagnosable from the manifest alone.  Defaults to the
     #: oracle so manifests written before this field existed load
@@ -201,6 +217,7 @@ class RunManifest:
                 f"run manifest at {path} has schema "
                 f"{payload.get('schema')!r}; this version reads schema "
                 f"{CHECKPOINT_SCHEMA_VERSION}")
+        check_legacy_array_backend(payload, path)
         known = {f.name for f in fields(cls)}
         try:
             return cls(**{k: v for k, v in payload.items() if k in known})

@@ -18,6 +18,9 @@ from repro.optim.base import CachingEvaluator, Optimizer
 from repro.optim.hypervolume import hypervolume
 from repro.optim.pareto import non_dominated_mask
 
+#: Normalised hypervolume losses at most this small count as no loss.
+ACCEPT_TOLERANCE = 1e-12
+
 
 class SimulatedAnnealing(Optimizer):
     """Archive-based multi-objective simulated annealing."""
@@ -82,6 +85,10 @@ class SimulatedAnnealing(Optimizer):
         # relative to staying at the current point.
         scale = float(np.prod(span))
         delta = (hv_front - hv_with) / scale if scale > 0 else 0.0
-        if delta >= 0:
+        # A current point on the front gives delta == 0 exactly, but the
+        # two hypervolume sweeps may round it to +-1e-16; treating that
+        # noise as a loss would draw from the RNG and shift the whole
+        # trajectory.
+        if delta >= -ACCEPT_TOLERANCE:
             return True
         return rng.random() < math.exp(delta / max(temperature, 1e-12))

@@ -68,7 +68,7 @@ class ProfileReport:
     phases: List[PhaseRecord]
     total_wall_s: float
     counters: Dict[str, int]
-    #: Free-form run annotations (e.g. ``backend`` -> ``threaded [exact]``),
+    #: Free-form run annotations (e.g. ``backend`` -> ``numpy [exact]``),
     #: rendered as ``key: value`` lines.  Defaulted last for backward
     #: compatibility with positional construction.
     labels: Dict[str, str] = field(default_factory=dict)

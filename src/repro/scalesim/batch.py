@@ -390,50 +390,6 @@ class BatchSimulation:
         return reports
 
 
-def concatenate_simulations(
-        sims: Sequence[BatchSimulation]) -> BatchSimulation:
-    """Stack per-chunk simulations of one workload along the batch axis.
-
-    The inverse of splitting a config batch into contiguous chunks:
-    because every per-(config, layer) quantity is a pure function of
-    its own (config, layer) pair, concatenating chunk results row-wise
-    reproduces the single-call arrays bit for bit.  All chunks must
-    share one workload (the thread-chunked backend's invariant).
-    """
-    sims = list(sims)
-    if not sims:
-        raise SimulationError("cannot concatenate an empty simulation list")
-    if len(sims) == 1:
-        return sims[0]
-    stack = lambda pull: np.concatenate(  # noqa: E731
-        [pull(sim) for sim in sims], axis=0)
-    mapping = BatchMapping(
-        compute_cycles=stack(lambda s: s.mapping.compute_cycles),
-        folds=stack(lambda s: s.mapping.folds),
-        ifmap_sram_reads=stack(lambda s: s.mapping.ifmap_sram_reads),
-        filter_sram_reads=stack(lambda s: s.mapping.filter_sram_reads),
-        ofmap_sram_writes=stack(lambda s: s.mapping.ofmap_sram_writes),
-        ofmap_sram_reads=stack(lambda s: s.mapping.ofmap_sram_reads),
-    )
-    traffic = BatchTraffic(
-        dram_ifmap_read_bytes=stack(
-            lambda s: s.traffic.dram_ifmap_read_bytes),
-        dram_filter_read_bytes=stack(
-            lambda s: s.traffic.dram_filter_read_bytes),
-        dram_ofmap_write_bytes=stack(
-            lambda s: s.traffic.dram_ofmap_write_bytes),
-        dram_cycles=stack(lambda s: s.traffic.dram_cycles),
-        first_fill_cycles=stack(lambda s: s.traffic.first_fill_cycles),
-    )
-    return BatchSimulation(
-        workload=sims[0].workload,
-        configs=tuple(c for sim in sims for c in sim.configs),
-        mapping=mapping,
-        traffic=traffic,
-        total_cycles=stack(lambda s: s.total_cycles),
-    )
-
-
 def simulate_batch(workload: NetworkWorkload,
                    configs: Sequence[AcceleratorConfig]) -> BatchSimulation:
     """Run the analytical model for one workload over a config batch."""

@@ -27,8 +27,6 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.backend import active_backend
-
 from repro.power.cacti import sram_model
 from repro.power.dram import (
     BACKGROUND_POWER_W,
@@ -37,7 +35,7 @@ from repro.power.dram import (
 )
 from repro.power.pe import IDLE_ENERGY_PJ, MAC_ENERGY_PJ, PE_LEAKAGE_W
 from repro.power.soc_power import AcceleratorPowerBreakdown
-from repro.scalesim.batch import BatchSimulation
+from repro.scalesim.batch import BatchSimulation, simulate_batch
 from repro.scalesim.config import AcceleratorConfig, Dataflow
 from repro.scalesim.report import RunReport
 from repro.soc.components import fixed_components_power_w
@@ -349,7 +347,6 @@ def evaluate_design_batch(evaluator: "DssocEvaluator",
 
     _batch_stats.batch_calls += 1
     _batch_stats.batched_designs += len(designs)
-    backend = active_backend()
 
     # The same process-wide cache SystolicArraySimulator.run consults,
     # so batch and scalar evaluations share every simulation result.
@@ -399,7 +396,7 @@ def evaluate_design_batch(evaluator: "DssocEvaluator",
                     group_configs.append(designs[i].accelerator)
                     unique_keys.append(key)
             kernel_start = time.perf_counter()
-            sim = backend.simulate_batch(workload, group_configs)
+            sim = simulate_batch(workload, group_configs)
             _batch_stats.kernel_wall_s += time.perf_counter() - kernel_start
             _batch_stats.kernel_designs += len(group_configs)
             group_reports = sim.reports()
@@ -416,7 +413,7 @@ def evaluate_design_batch(evaluator: "DssocEvaluator",
                 reports[i], designs[i].accelerator.num_pes)
 
         kernel_start = time.perf_counter()
-        power = backend.power_columns(
+        power = _evaluate_power_columns(
             [d.accelerator for d in designs], staged,
             evaluator.operating_fps)
         _batch_stats.kernel_wall_s += time.perf_counter() - kernel_start

@@ -1,10 +1,9 @@
-"""Backend-suite fixtures: per-test autotuner and clean registry state."""
+"""Backend-suite fixtures: a per-test autotuner."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backend import reset_backends
 from repro.backend.autotune import reset_autotuner
 
 
@@ -14,11 +13,3 @@ def fresh_autotuner(tmp_path):
     tuner = reset_autotuner(path=tmp_path / "autotune.json")
     yield tuner
     reset_autotuner()
-
-
-@pytest.fixture(autouse=True)
-def clean_backend_state():
-    """Drop cached backend instances and the active selection."""
-    reset_backends()
-    yield
-    reset_backends()

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro.airlearning.scenarios import Scenario, ScenarioSpec, scenario_ids
-from repro.cli import _restore_from_manifest, build_parser
+from repro.bench.runner import BENCH_MANIFEST_NAME, BenchManifest
+from repro.cli import _restore_from_manifest, build_parser, main
 from repro.core.checkpoint import MANIFEST_NAME, RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import TaskSpec
@@ -48,7 +49,7 @@ def _design_args(**overrides):
     args = argparse.Namespace(
         uav="nano", scenario="dense", sensor_fps=60.0, seed=0, budget=1,
         phase1_backend="surrogate", proposal_batch=1, fidelity="off",
-        promotion_eta=0.5, backend=None, workers=None)
+        promotion_eta=0.5, workers=None)
     for key, value in overrides.items():
         setattr(args, key, value)
     return args
@@ -114,6 +115,77 @@ def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
     with pytest.raises(CheckpointError, match="scenario"):
         AutoPilot(seed=5).run(other, budget=6, checkpoint_dir=run_dir,
                               resume=True)
+
+
+def _record_array_backend(path, value):
+    """Rewrite a manifest as the selectable-backend code wrote it.
+
+    ``None`` drops the field (manifests older than the backend seam).
+    """
+    payload = json.loads(path.read_text())
+    payload.pop("array_backend", None)
+    if value is not None:
+        payload["array_backend"] = value
+    path.write_text(json.dumps(payload))
+
+
+_DESIGN_ARGV = ["design", "--uav", "nano", "--scenario", "low",
+                "--budget", "6", "--seed", "3"]
+_BENCH_ARGV = ["bench", "--scenarios", "low,dense", "--platforms", "nano",
+               "--budget", "6", "--seed", "3"]
+
+
+class TestRecordedArrayBackend:
+    """Manifests from when the array backend was selectable.
+
+    ``numpy`` and ``threaded`` were bit-identical to today's kernels, so
+    their runs resume to the same output; ``numba``/``jax`` journals
+    came from looser arithmetic and are refused.
+    """
+
+    @pytest.mark.parametrize("recorded", [None, "numpy", "threaded"],
+                             ids=["absent", "numpy", "threaded"])
+    def test_run_manifest_resumes_identically(self, tmp_path, capsys,
+                                              recorded):
+        run_dir = tmp_path / "run"
+        assert main(_DESIGN_ARGV + ["--checkpoint-dir", str(run_dir)]) == 0
+        first = capsys.readouterr().out
+        _record_array_backend(run_dir / MANIFEST_NAME, recorded)
+        assert RunManifest.load(run_dir).seed == 3
+        assert main(["design", "--resume", str(run_dir)]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("recorded", [None, "numpy", "threaded"],
+                             ids=["absent", "numpy", "threaded"])
+    def test_bench_manifest_resumes_identically(self, tmp_path, capsys,
+                                                recorded):
+        bench_dir = tmp_path / "bench"
+        assert main(_BENCH_ARGV + ["--checkpoint-dir", str(bench_dir)]) == 0
+        first = capsys.readouterr().out
+        _record_array_backend(bench_dir / BENCH_MANIFEST_NAME, recorded)
+        for cell_manifest in bench_dir.glob(f"cells/*/{MANIFEST_NAME}"):
+            _record_array_backend(cell_manifest, recorded)
+        assert BenchManifest.load(bench_dir).seed == 3
+        assert main(["bench", "--resume", str(bench_dir)]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_inexact_run_manifest_is_refused(self, tmp_path, capsys):
+        payload = dict(_OLD_HEAD_MANIFEST, array_backend="numba")
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="array_backend 'numba'"):
+            RunManifest.load(tmp_path)
+        assert main(["design", "--resume", str(tmp_path)]) == 2
+        assert "array_backend" in capsys.readouterr().err
+
+    def test_inexact_bench_manifest_is_refused(self, tmp_path, capsys):
+        bench_dir = tmp_path / "bench"
+        assert main(_BENCH_ARGV + ["--checkpoint-dir", str(bench_dir)]) == 0
+        capsys.readouterr()
+        _record_array_backend(bench_dir / BENCH_MANIFEST_NAME, "jax")
+        with pytest.raises(CheckpointError, match="array_backend 'jax'"):
+            BenchManifest.load(bench_dir)
+        assert main(["bench", "--resume", str(bench_dir)]) == 2
+        assert "array_backend" in capsys.readouterr().err
 
 
 class TestParserScenarioChoices:

@@ -228,6 +228,28 @@ class TestSimulatedAnnealing:
             SimulatedAnnealing(toy_space, initial_temperature=0.1,
                                final_temperature=1.0)
 
+    def test_round_off_loss_is_accepted_without_drawing(self, toy_space,
+                                                        monkeypatch):
+        # A current point on the front has zero hypervolume loss; the
+        # two sweeps may still differ in the last bit.  That must take
+        # the improvement branch, not consume a Boltzmann draw.
+        import repro.optim.annealing as annealing
+
+        evaluator = CachingEvaluator(toy_space, toy_objectives, budget=4)
+        for x in (0, 5, 11):
+            evaluator.evaluate({"x": x, "y": 0})
+        # hv_front, then an hv_with one ulp (~2e-16) larger.
+        volumes = iter([1.0, float(np.nextafter(1.0, 2.0))])
+        monkeypatch.setattr(annealing, "hypervolume",
+                            lambda points, reference: next(volumes))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        current = evaluator.result.objective_matrix[1]
+        accepted = SimulatedAnnealing(toy_space)._accept(
+            evaluator, current, current, temperature=1e-3, rng=rng)
+        assert accepted
+        assert rng.bit_generator.state == state
+
 
 class TestCachingEvaluator:
     def test_budget_enforced(self, toy_space):

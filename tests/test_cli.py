@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,13 +46,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--layers", "42"])
 
-    def test_backend_defaults_to_unset(self):
-        for command in ("design", "compare", "sweep"):
-            assert build_parser().parse_args([command]).backend is None
-
     def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["design", "--backend", "cuda"])
+        # The kernels always run on NumPy; no subcommand takes --backend.
+        for command in ("design", "bench", "compare", "sweep"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "numpy"])
 
 
 class TestCommands:
@@ -89,32 +91,18 @@ class TestCommands:
 
     def test_design_report_names_the_backend(self, capsys):
         assert main(["design", "--uav", "nano", "--scenario", "low",
-                     "--budget", "15", "--seed", "3",
-                     "--backend", "threaded", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "Array backend: threaded" in out
-        assert "backend: threaded [exact]" in out  # --profile label
-
-    def test_threaded_design_report_matches_numpy(self, capsys):
-        args = ["design", "--uav", "nano", "--scenario", "low",
-                "--budget", "15", "--seed", "3"]
-        assert main(args + ["--backend", "numpy"]) == 0
-        reference = capsys.readouterr().out
-        assert main(args + ["--backend", "threaded"]) == 0
-        threaded = capsys.readouterr().out
-        # Only the backend line may differ; every number is identical.
-        assert threaded.replace("threaded", "numpy") == reference
-
-    def test_env_var_selects_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BACKEND", "threaded")
-        assert main(["design", "--uav", "nano", "--scenario", "low",
-                     "--budget", "15", "--seed", "3"]) == 0
-        assert "Array backend: threaded" in capsys.readouterr().out
+                     "--budget", "15", "--seed", "3", "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Pinned verbatim: report digests hash this line.
+        assert ("- Array backend: numpy "
+                "[exact (bit-identical to the NumPy oracle)]") in lines
+        assert "backend: numpy [exact]" in lines  # --profile label
 
     def test_sweep_honours_backend(self, capsys):
         assert main(["sweep", "--layers", "4", "--filters", "32",
-                     "--backend", "threaded", "--profile"]) == 0
-        assert "backend: threaded [exact]" in capsys.readouterr().out
+                     "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "backend: numpy [exact]" in lines
 
 
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
@@ -179,15 +167,20 @@ class TestCheckpointCli:
         assert manifest["seed"] == 3
         assert manifest["budget"] == 15
 
-    def test_resume_restores_the_recorded_backend(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        assert main(DESIGN_ARGS + ["--backend", "threaded",
-                                   "--checkpoint-dir", str(run_dir)]) == 0
-        first = capsys.readouterr().out
-        assert "Array backend: threaded" in first
-        assert RunManifest.load(run_dir).array_backend == "threaded"
-        # The resume command line does not name a backend; the manifest
-        # restores it (and a conflicting one would be rejected by the
-        # manifest verification).
-        assert main(["design", "--resume", str(run_dir)]) == 0
-        assert capsys.readouterr().out == first
+
+class TestHermeticRun:
+    def test_plain_design_writes_nothing_under_home(self, tmp_path):
+        home = tmp_path / "home"
+        home.mkdir()
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_TUNE_DIR"}
+        env["HOME"] = str(home)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
+                                / "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "design", "--budget", "8"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        assert "AutoPilot design report" in completed.stdout
+        assert list(home.iterdir()) == []

@@ -28,10 +28,10 @@ def results():
 class TestMergeResults:
     def test_fresh_file_and_section_merge(self, results, tmp_path):
         path = tmp_path / "bench.json"
-        results.merge_results(path, {"speedup": 2.0}, section="backend")
+        results.merge_results(path, {"speedup": 2.0}, section="runtime")
         results.merge_results(path, {"batch_eval": {"ok": True}})
         payload = json.loads(path.read_text())
-        assert payload == {"backend": {"speedup": 2.0},
+        assert payload == {"runtime": {"speedup": 2.0},
                            "batch_eval": {"ok": True}}
 
     def test_sections_overwrite_only_themselves(self, results, tmp_path):
