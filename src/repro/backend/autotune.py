@@ -7,12 +7,9 @@ module learns them from *real timed calls* instead of guessing:
 
 * the pooled batch evaluator records ``(chunk, items, wall_s)``
   observations per ``(backend, surface)`` as it runs;
-* finished profiler reports are ingested too -- the existing
-  :class:`~repro.soc.batch.BatchStats` rows carry the kernel wall time
-  and kernel-simulated design counts, and
-  :class:`~repro.optim.gp.GpStats` carries the mean proposal-group
-  size, which caps the chunk size worth tuning for (chunks larger than
-  a typical mid-run batch never fill);
+* finished profiler reports contribute the mean proposal-group size
+  (:class:`~repro.optim.gp.GpStats`), which caps the chunk size worth
+  tuning for (chunks larger than a typical mid-run batch never fill);
 * :meth:`Autotuner.best_chunk` answers with the highest-throughput
   chunk seen so far, or ``None`` until at least two *distinct* chunk
   sizes have been measured -- callers keep their static heuristic as
@@ -175,21 +172,13 @@ class Autotuner:
             self._dirty += 1
 
     def ingest_report(self, report, backend_name: str) -> None:
-        """Harvest observations from a finished profiler report.
+        """Harvest the ``proposal_group`` cap hint from a profiler report.
 
-        ``BatchStats`` rows become simulate-surface observations (mean
-        batch size as the effective chunk, kernel wall over
-        kernel-simulated designs as the throughput sample); the GP mean
-        proposal-group size becomes the ``proposal_group`` cap hint.
+        The GP mean proposal-group size of each phase becomes the hint
+        :meth:`best_chunk` caps its answer with.  ``backend_name`` is
+        accepted for call-site compatibility and not used.
         """
         for phase in getattr(report, "phases", ()):
-            batch = getattr(phase, "batch", None)
-            if batch is not None and batch.kernel_designs:
-                wall = getattr(batch, "kernel_wall_s", 0.0)
-                chunk = int(round(batch.mean_batch_size))
-                if wall > 0 and chunk >= 1:
-                    self.observe(backend_name, "simulate", chunk,
-                                 batch.kernel_designs, wall)
             gp = getattr(phase, "gp", None)
             if gp is not None and getattr(gp, "proposal_groups", 0):
                 self.hint("proposal_group", gp.mean_proposal_group)

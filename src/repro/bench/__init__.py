@@ -9,8 +9,7 @@ side.  Surfaced on the command line as ``autopilot bench``.
 
 from repro.bench.metrics import CellMetrics, metrics_for
 from repro.bench.report import render_bench_report
-from repro.bench.runner import (BenchManifest, BenchResult, BenchRunner,
-                                resolve_cell_parallel)
+from repro.bench.runner import BenchManifest, BenchResult, BenchRunner
 from repro.bench.suite import BenchCell, BenchSuite, build_suite
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "BenchRunner",
     "BenchResult",
     "BenchManifest",
-    "resolve_cell_parallel",
     "CellMetrics",
     "metrics_for",
     "render_bench_report",

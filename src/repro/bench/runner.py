@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.metrics import CellMetrics, metrics_for
 from repro.bench.suite import BenchCell, BenchSuite
@@ -42,36 +40,12 @@ from repro.core.checkpoint import (
     check_legacy_array_backend,
 )
 from repro.core.pipeline import AutoPilot, AutoPilotResult
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import CheckpointError
 
 #: File name of the bench manifest inside a bench directory.
 BENCH_MANIFEST_NAME = "bench.json"
 #: Bump when the bench layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
-
-#: Environment variable selecting the concurrent bench-cell count.
-BENCH_PARALLEL_ENV = "REPRO_BENCH_PARALLEL"
-
-
-def resolve_cell_parallel(cell_parallel: Optional[int] = None) -> int:
-    """Resolve the concurrent-cell count.
-
-    Explicit argument > ``REPRO_BENCH_PARALLEL`` environment variable >
-    1 (the sequential oracle).
-    """
-    if cell_parallel is None:
-        raw = os.environ.get(BENCH_PARALLEL_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            cell_parallel = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{BENCH_PARALLEL_ENV} must be an integer, got {raw!r}")
-    if cell_parallel < 1:
-        raise ConfigError("bench parallelism must be positive")
-    return cell_parallel
-
 
 @dataclass
 class BenchManifest:
@@ -94,15 +68,6 @@ class BenchManifest:
     proposal_batch: int = 1
     fidelity: str = "off"
     promotion_eta: float = 0.5
-    #: Worker-pool mode (``"cold"``/``"warm"``); verified on resume
-    #: like ``proposal_batch``.
-    pool: str = "cold"
-    #: Concurrent-cell count the sweep was launched with.  Recorded and
-    #: restored by ``--resume`` but *not* verified: it is a scheduling
-    #: knob -- results are cell-order-independent and byte-identical at
-    #: any parallelism -- so a sweep may legitimately resume at a
-    #: different width (e.g. on a differently-sized machine).
-    bench_parallel: int = 1
     #: cell id -> ``pending`` / ``running`` / ``complete``.
     cells: Dict[str, str] = field(default_factory=dict)
     schema: int = BENCH_SCHEMA_VERSION
@@ -163,23 +128,7 @@ class BenchRunner:
     def __init__(self, autopilot: AutoPilot, budget: int = 40,
                  sensor_fps: float = 60.0,
                  checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
-                 resume: bool = False, profile: bool = False,
-                 cell_parallel: Optional[int] = None,
-                 autopilot_factory: Optional[Callable[[], AutoPilot]] = None):
-        """Args beyond the sequential-runner set:
-
-        Args:
-            cell_parallel: Independent cells run concurrently (explicit
-                > ``REPRO_BENCH_PARALLEL`` > 1).  At 1 the runner is
-                the exact legacy sequential loop -- one shared pipeline
-                instance, cells in suite order.  Above 1, each cell
-                runs on its own pipeline clone (sharing the process's
-                evaluation caches and warm pool); reports are required
-                to be byte-identical to the sequential run.
-            autopilot_factory: Builds the per-cell pipeline clones for
-                the concurrent path; defaults to cloning ``autopilot``'s
-                configuration.
-        """
+                 resume: bool = False, profile: bool = False):
         self.autopilot = autopilot
         self.budget = budget
         self.sensor_fps = sensor_fps
@@ -187,8 +136,6 @@ class BenchRunner:
                                if checkpoint_dir is not None else None)
         self.resume = resume
         self.profile = profile
-        self.cell_parallel = resolve_cell_parallel(cell_parallel)
-        self.autopilot_factory = autopilot_factory
 
     # ------------------------------------------------------------------
     def manifest_for(self, suite: BenchSuite) -> BenchManifest:
@@ -217,8 +164,6 @@ class BenchRunner:
                 "proposal_batch", 1),
             fidelity=pilot.fidelity,
             promotion_eta=pilot.promotion_eta,
-            pool=pilot.pool,
-            bench_parallel=self.cell_parallel,
             cells={cell.cell_id: "pending" for cell in suite.cells()})
 
     @staticmethod
@@ -228,8 +173,7 @@ class BenchRunner:
         mismatched = [
             name for name in ("scenarios", "platforms", "budget", "seed",
                               "sensor_fps", "frontend_backend", "trainer",
-                              "proposal_batch", "fidelity", "promotion_eta",
-                              "pool")
+                              "proposal_batch", "fidelity", "promotion_eta")
             if getattr(previous, name) != getattr(current, name)]
         if mismatched:
             details = ", ".join(
@@ -245,45 +189,15 @@ class BenchRunner:
             return None
         return self.checkpoint_dir / "cells" / cell.cell_id
 
-    def _clone_autopilot(self) -> AutoPilot:
-        """A fresh pipeline with this runner's exact configuration.
-
-        Per-cell clones carry no shared mutable state (each gets its
-        own scenario database and Phase 2 memo), but still share the
-        process-wide evaluation caches and warm worker pool -- and
-        every phase is deterministic given (seed, task, budget), so a
-        clone's result is bit-identical to what the shared sequential
-        pipeline would have produced for the same cell.
-        """
-        if self.autopilot_factory is not None:
-            return self.autopilot_factory()
-        pilot = self.autopilot
-        return AutoPilot(
-            seed=pilot.seed,
-            frontend_backend=pilot.frontend.backend,
-            optimizer_cls=pilot.optimizer_cls,
-            optimizer_kwargs=pilot.optimizer_kwargs,
-            enable_finetuning=pilot.backend.enable_finetuning,
-            weight_feedback=pilot.backend.weight_feedback,
-            workers=pilot.workers,
-            trainer=pilot.frontend.trainer,
-            fidelity=pilot.fidelity,
-            promotion_eta=pilot.promotion_eta,
-            pool=pilot.pool)
-
     # ------------------------------------------------------------------
     def run(self, suite: BenchSuite) -> BenchResult:
         """Run (or resume) every cell of the suite.
 
-        With ``cell_parallel == 1`` (the default), cells run through
-        the shared pipeline instance sequentially in suite order;
-        parallelism lives *inside* each cell (the pipeline's process
-        pool and batched kernels), which is what lets consecutive cells
-        share the scenario database and Phase 2 cache.  Above 1,
-        independent cells run concurrently on per-cell pipeline clones
-        that share one evaluation cache and one warm pool; results are
-        assembled in suite order and byte-identical to the sequential
-        sweep.
+        Cells run through the shared pipeline instance sequentially in
+        suite order; parallelism lives *inside* each cell (the
+        pipeline's process pool and batched kernels), which is what
+        lets consecutive cells share the scenario database and Phase 2
+        cache.
         """
         manifest: Optional[BenchManifest] = None
         if self.checkpoint_dir is not None:
@@ -297,9 +211,6 @@ class BenchRunner:
                 # the presence of its run manifest.
                 manifest.cells.update(previous.cells)
             manifest.save(self.checkpoint_dir)
-
-        if self.cell_parallel > 1:
-            return self._run_concurrent(suite, manifest)
 
         metrics: List[CellMetrics] = []
         results: Dict[str, AutoPilotResult] = {}
@@ -323,56 +234,4 @@ class BenchRunner:
             if manifest is not None:
                 manifest.cells[cell.cell_id] = "complete"
                 manifest.save(self.checkpoint_dir)
-        return BenchResult(suite=suite, metrics=metrics, results=results)
-
-    def _run_concurrent(self, suite: BenchSuite,
-                        manifest: Optional[BenchManifest]) -> BenchResult:
-        """Run independent cells concurrently on per-cell clones.
-
-        Manifest updates serialise on a lock; results are collected in
-        suite order so reports never depend on completion order.  A
-        cell failure (including an injected :class:`SimulatedKill`)
-        propagates from the earliest failing cell in suite order, with
-        not-yet-started cells cancelled -- exactly the state a resumed
-        sweep expects.
-        """
-        manifest_lock = threading.Lock()
-
-        def run_cell(cell: BenchCell, pilot: AutoPilot) -> AutoPilotResult:
-            cell_dir = self._cell_dir(cell)
-            cell_resume = (self.resume and cell_dir is not None
-                           and (cell_dir / "manifest.json").exists())
-            if manifest is not None:
-                with manifest_lock:
-                    manifest.cells[cell.cell_id] = "running"
-                    manifest.save(self.checkpoint_dir)
-            result = pilot.run(
-                cell.task(self.sensor_fps), budget=self.budget,
-                profile=self.profile,
-                checkpoint_dir=cell_dir, resume=cell_resume)
-            if manifest is not None:
-                with manifest_lock:
-                    manifest.cells[cell.cell_id] = "complete"
-                    manifest.save(self.checkpoint_dir)
-            return result
-
-        cells = list(suite.cells())
-        metrics: List[CellMetrics] = []
-        results: Dict[str, AutoPilotResult] = {}
-        executor = ThreadPoolExecutor(
-            max_workers=min(self.cell_parallel, len(cells)),
-            thread_name_prefix="bench-cell")
-        try:
-            futures = [executor.submit(run_cell, cell,
-                                       self._clone_autopilot())
-                       for cell in cells]
-            for cell, future in zip(cells, futures):
-                result = future.result()
-                metrics.append(metrics_for(cell, result))
-                results[cell.cell_id] = result
-        finally:
-            # Cancel the never-started cells, but wait for in-flight
-            # ones: letting them run past this call would race a
-            # same-process resume against their checkpoint writes.
-            executor.shutdown(wait=True, cancel_futures=True)
         return BenchResult(suite=suite, metrics=metrics, results=results)

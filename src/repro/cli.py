@@ -39,7 +39,6 @@ from repro.bench import (
 )
 from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
-from repro.core.workers import POOL_MODES
 from repro.core.report import render_report
 from repro.core.spec import TaskSpec
 from repro.errors import CheckpointError, ConfigError
@@ -79,16 +78,6 @@ def _task(args: argparse.Namespace) -> TaskSpec:
     return TaskSpec(platform=_platform(args.uav),
                     scenario=resolve_scenario(args.scenario),
                     sensor_fps=args.sensor_fps)
-
-
-def _add_pool(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pool", choices=POOL_MODES, default=None,
-                        help="worker-pool mode (default: REPRO_POOL or "
-                             "cold). cold spawns a fresh process pool per "
-                             "batch (the oracle); warm keeps one persistent "
-                             "pool for the whole run and ships design "
-                             "batches through shared memory (bit-identical, "
-                             "much lower dispatch overhead)")
 
 
 def _add_phase1(parser: argparse.ArgumentParser) -> None:
@@ -152,8 +141,7 @@ def _autopilot(args: argparse.Namespace) -> AutoPilot:
                      frontend_backend=args.phase1_backend, trainer=trainer,
                      optimizer_kwargs=optimizer_kwargs or None,
                      fidelity=getattr(args, "fidelity", "off"),
-                     promotion_eta=getattr(args, "promotion_eta", 0.5),
-                     pool=getattr(args, "pool", None))
+                     promotion_eta=getattr(args, "promotion_eta", 0.5))
 
 
 def _restore_from_manifest(args: argparse.Namespace,
@@ -165,7 +153,6 @@ def _restore_from_manifest(args: argparse.Namespace,
     args.proposal_batch = manifest.proposal_batch
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.pool = manifest.pool
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
         args.cem_iterations = manifest.trainer["iterations"]
@@ -228,12 +215,6 @@ def _restore_bench_args(args: argparse.Namespace,
     args.proposal_batch = manifest.proposal_batch
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.pool = manifest.pool
-    # A scheduling knob, not part of the sweep identity: restored for
-    # convenience but overridable (resume on a different machine may
-    # legitimately pick a different width).
-    if getattr(args, "bench_parallel", None) is None:
-        args.bench_parallel = manifest.bench_parallel
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
         args.cem_iterations = manifest.trainer["iterations"]
@@ -252,19 +233,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         _restore_bench_args(args, manifest)
-    try:
-        suite = build_suite(tags=_csv(args.tags),
-                            ids=_csv(args.scenarios),
-                            platforms=_csv(args.platforms))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    suite = build_suite(tags=_csv(args.tags), ids=_csv(args.scenarios),
+                        platforms=_csv(args.platforms))
     autopilot = _autopilot(args)
     runner = BenchRunner(autopilot, budget=args.budget,
                          sensor_fps=args.sensor_fps,
                          checkpoint_dir=checkpoint_dir, resume=resume,
-                         profile=args.profile,
-                         cell_parallel=getattr(args, "bench_parallel", None))
+                         profile=args.profile)
     try:
         result = runner.run(suite)
     except CheckpointError as exc:
@@ -385,10 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
              "into DIR so an interrupted run can be resumed")
     checkpointing.add_argument(
         "--resume", metavar="DIR", default=None,
-        help="resume the checkpointed run in DIR (task, seed, budget "
-             "and pool mode are restored from its manifest); the result "
-             "is bit-identical to an uninterrupted run")
-    _add_pool(design)
+        help="resume the checkpointed run in DIR (task, seed and "
+             "budget are restored from its manifest); the result is "
+             "bit-identical to an uninterrupted run")
     _add_phase1(design)
     _add_phase2(design)
     design.set_defaults(func=cmd_design)
@@ -417,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=None,
                        help="processes for batched design evaluation "
                             "and Phase 1 training")
-    bench.add_argument("--bench-parallel", type=int, default=None,
-                       metavar="N",
-                       help="independent bench cells run concurrently "
-                            "(default: REPRO_BENCH_PARALLEL or 1); cells "
-                            "share one evaluation cache and one warm pool, "
-                            "and the report is byte-identical to the "
-                            "sequential sweep")
     bench_ckpt = bench.add_mutually_exclusive_group()
     bench_ckpt.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -432,10 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_ckpt.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume the checkpointed bench sweep in DIR (scenario set, "
-             "platforms, seed, budget and pool mode are restored from its "
+             "platforms, seed and budget are restored from its "
              "manifest); the report is bit-identical to an "
              "uninterrupted sweep")
-    _add_pool(bench)
     _add_phase1(bench)
     _add_phase2(bench)
     bench.set_defaults(func=cmd_bench)
@@ -447,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=None,
                          help="processes for batched design evaluation "
                               "and Phase 1 training")
-    _add_pool(compare)
     _add_phase1(compare)
     _add_phase2(compare)
     compare.set_defaults(func=cmd_compare)
@@ -467,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--profile", action="store_true",
                        help="print sweep timing, throughput and "
                             "simulator-cache statistics")
-    _add_pool(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 
@@ -475,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,8 +31,10 @@ Deterministic fault injection for all of these paths lives in
 sites and ships it to workers inside the chunk payload, so behaviour
 does not depend on the multiprocessing start method.
 
-Workers keep their own warm simulator cache for the lifetime of the
-pool; the parent merges every returned report into the process-wide
+Every parallel call borrows one process-wide executor
+(:class:`WarmPool`), spawned on first use and kept for the rest of the
+process.  Workers keep their own simulator cache for the lifetime of
+the pool; the parent merges every returned report into the process-wide
 shared cache, so parallel and serial runs leave the cache in the same
 state and produce bit-identical results in the same order.
 
@@ -44,9 +46,11 @@ batches or expensive backends.  Opt in per call site or via the
 
 from __future__ import annotations
 
+import atexit
 import logging
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -56,8 +60,6 @@ from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
 
 from repro.backend.autotune import autotuner
 from repro.core.evalcache import design_key, shared_report_cache
-from repro.core.workers import (ShmView, attach_view, publish_array,
-                                resolve_pool_mode, unpublish, warm_pool)
 from repro.errors import ConfigError
 from repro.nn.workload import lower_network
 from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
@@ -142,12 +144,6 @@ class PoolStats:
     poisoned_chunks: int = 0     # chunks that exhausted the retry budget
     serial_fallback_chunks: int = 0  # chunks executed serially in the parent
     unpicklable_chunks: int = 0  # chunks whose payload could not be pickled
-    cold_dispatches: int = 0     # chunks submitted to per-call (cold) pools
-    warm_dispatches: int = 0     # chunks submitted to the persistent pool
-    warm_pool_spawns: int = 0    # warm-pool executor (re)spawns
-    warm_pool_reuses: int = 0    # warm parallel_map calls served by reuse
-    shm_batches: int = 0         # batches shipped via shared memory
-    shm_bytes: int = 0           # payload bytes moved through shared memory
 
     @property
     def total_faults(self) -> int:
@@ -175,6 +171,92 @@ _pool_stats = PoolStats()
 def pool_stats() -> PoolStats:
     """The process-wide pool failure/recovery counters."""
     return _pool_stats
+
+
+@dataclass(frozen=True)
+class PoolLease:
+    """One acquisition of the shared executor.
+
+    ``generation`` identifies the executor instance: a caller that
+    observes a broken pool hands its generation back to
+    :meth:`WarmPool.refresh`, which respawns at most once per
+    generation even under concurrent callers.
+    """
+
+    executor: ProcessPoolExecutor
+    generation: int
+
+
+class WarmPool:
+    """The process-wide persistent executor behind every parallel call."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
+        self._generation = 0
+
+    @property
+    def workers(self) -> int:
+        """Current executor size (0 when not spawned)."""
+        return self._workers
+
+    def acquire(self, workers: int) -> PoolLease:
+        """The shared executor, (re)spawned to hold >= ``workers``.
+
+        The executor only ever grows: callers with different worker
+        counts share the larger pool rather than thrashing it.
+        """
+        if workers < 1:
+            raise ConfigError("workers must be positive")
+        with self._lock:
+            if self._executor is None or self._workers < workers:
+                self._respawn_locked(max(workers, self._workers))
+            return PoolLease(self._executor, self._generation)
+
+    def refresh(self, generation: int) -> PoolLease:
+        """Replace a broken executor; idempotent per generation.
+
+        Every concurrent caller that observed the break calls this with
+        the generation it was leased; only the first triggers the
+        respawn, the rest are handed the already-fresh executor.
+        """
+        with self._lock:
+            if self._executor is None or generation == self._generation:
+                self._respawn_locked(max(self._workers, 1))
+            return PoolLease(self._executor, self._generation)
+
+    def shutdown(self) -> None:
+        """Tear the executor down (tests, interpreter exit)."""
+        with self._lock:
+            if self._executor is not None:
+                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+                self._workers = 0
+                self._generation += 1
+
+    def _respawn_locked(self, workers: int) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = ProcessPoolExecutor(max_workers=workers)
+        self._workers = workers
+        self._generation += 1
+
+
+_warm_pool = WarmPool()
+
+
+def warm_pool() -> WarmPool:
+    """The process-wide persistent executor."""
+    return _warm_pool
+
+
+def shutdown_warm_pool() -> None:
+    """Shut the process-wide executor down (tests, atexit)."""
+    _warm_pool.shutdown()
+
+
+atexit.register(shutdown_warm_pool)
 
 
 class _Chunk:
@@ -246,24 +328,18 @@ def _payload_pickles(fn: Callable, chunk: _Chunk) -> bool:
 def parallel_map(fn: Callable[[T], R], items: Sequence[T],
                  workers: int = 1,
                  chunksize: int = DEFAULT_CHUNKSIZE,
-                 retry: RetryPolicy = DEFAULT_RETRY,
-                 pool: str = "cold") -> List[R]:
+                 retry: RetryPolicy = DEFAULT_RETRY) -> List[R]:
     """Map ``fn`` over ``items`` with deterministic (input) ordering.
 
     Runs serially when ``workers <= 1`` or the batch is trivially
-    small.  Otherwise the items are fanned out over a process pool in
-    indexed chunks; a chunk whose worker dies or raises is retried with
-    bounded exponential backoff on a re-spawned pool, and only chunks
-    that exhaust the retry budget -- or whose payload cannot be pickled
-    at all -- fall back to serial execution in the parent.  The result
-    list is always ordered like ``items``; a persistent application
-    error is re-raised from the serial fallback.
-
-    ``pool`` selects the executor: ``"cold"`` (the oracle) spawns a
-    fresh process pool for this call; ``"warm"`` borrows the shared
-    persistent executor from :mod:`repro.core.workers`, amortising the
-    spawn cost across calls.  Results are bit-identical either way --
-    the retry/poison/serial machinery is shared.
+    small.  Otherwise the items are fanned out over the shared
+    persistent executor (:func:`warm_pool`) in indexed chunks; a chunk
+    whose worker dies or raises is retried with bounded exponential
+    backoff on a re-spawned executor, and only chunks that exhaust the
+    retry budget -- or whose payload cannot be pickled at all -- fall
+    back to serial execution in the parent.  The result list is always
+    ordered like ``items``; a persistent application error is re-raised
+    from the serial fallback.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
@@ -278,90 +354,64 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     for chunk in chunks:
         chunk.injector = injector
 
-    warm = resolve_pool_mode(pool) == "warm"
     results: List[Optional[List[R]]] = [None] * len(chunks)
     pending: List[_Chunk] = list(chunks)
     serial: List[_Chunk] = []
-    if warm:
-        lease = warm_pool().acquire(workers)
-        executor, generation = lease.executor, lease.generation
-        if lease.spawned:
-            _pool_stats.warm_pool_spawns += 1
-        else:
-            _pool_stats.warm_pool_reuses += 1
-    else:
-        generation = 0
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-    try:
-        while pending:
-            round_chunks, pending = pending, []
-            futures = []
-            pool_broken = False
-            for chunk in round_chunks:
-                try:
-                    futures.append((executor.submit(_run_chunk, fn, chunk),
-                                    chunk))
-                    if warm:
-                        _pool_stats.warm_dispatches += 1
-                    else:
-                        _pool_stats.cold_dispatches += 1
-                except BrokenProcessPool:
-                    pool_broken = True
-                    _chunk_failed(chunk, retry, pending, serial)
-            for future, chunk in futures:
-                try:
-                    chunk_index, values = future.result()
-                    results[chunk_index] = values
-                except _UNPICKLABLE_ERRORS as exc:
-                    if _payload_pickles(fn, chunk):
-                        # The payload serialises, so the error was
-                        # raised by the task itself: retry/poison like
-                        # any other worker exception.
-                        logger.warning(
-                            "chunk %d raised %s on attempt %d: %s",
-                            chunk.index, type(exc).__name__,
-                            chunk.attempt, exc)
-                        _chunk_failed(chunk, retry, pending, serial)
-                        continue
-                    _pool_stats.unpicklable_chunks += 1
-                    logger.warning(
-                        "chunk %d payload is unpicklable (%s: %s); "
-                        "falling back to serial evaluation",
-                        chunk.index, type(exc).__name__, exc)
-                    serial.append(chunk)
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    logger.warning(
-                        "process pool died while running chunk %d "
-                        "(attempt %d): %s", chunk.index, chunk.attempt, exc)
-                    _chunk_failed(chunk, retry, pending, serial)
-                except faults.SimulatedKill:
-                    raise
-                except Exception as exc:
+    lease = warm_pool().acquire(workers)
+    executor, generation = lease.executor, lease.generation
+    while pending:
+        round_chunks, pending = pending, []
+        futures = []
+        pool_broken = False
+        for chunk in round_chunks:
+            try:
+                futures.append((executor.submit(_run_chunk, fn, chunk),
+                                chunk))
+            except BrokenProcessPool:
+                pool_broken = True
+                _chunk_failed(chunk, retry, pending, serial)
+        for future, chunk in futures:
+            try:
+                chunk_index, values = future.result()
+                results[chunk_index] = values
+            except _UNPICKLABLE_ERRORS as exc:
+                if _payload_pickles(fn, chunk):
+                    # The payload serialises, so the error was raised
+                    # by the task itself: retry/poison like any other
+                    # worker exception.
                     logger.warning(
                         "chunk %d raised %s on attempt %d: %s",
                         chunk.index, type(exc).__name__, chunk.attempt, exc)
                     _chunk_failed(chunk, retry, pending, serial)
-            if pool_broken:
-                _pool_stats.pool_respawns += 1
-                logger.warning("re-spawning the process pool")
-                if warm:
-                    lease = warm_pool().refresh(generation)
-                    executor, generation = lease.executor, lease.generation
-                    if lease.spawned:
-                        _pool_stats.warm_pool_spawns += 1
-                else:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(workers, len(chunks)))
-            if pending:
-                delay = max(retry.delay_s(chunk.attempt)
-                            for chunk in pending)
-                if delay > 0:
-                    time.sleep(delay)
-    finally:
-        if not warm:
-            executor.shutdown(wait=False, cancel_futures=True)
+                    continue
+                _pool_stats.unpicklable_chunks += 1
+                logger.warning(
+                    "chunk %d payload is unpicklable (%s: %s); "
+                    "falling back to serial evaluation",
+                    chunk.index, type(exc).__name__, exc)
+                serial.append(chunk)
+            except BrokenProcessPool as exc:
+                pool_broken = True
+                logger.warning(
+                    "process pool died while running chunk %d "
+                    "(attempt %d): %s", chunk.index, chunk.attempt, exc)
+                _chunk_failed(chunk, retry, pending, serial)
+            except faults.SimulatedKill:
+                raise
+            except Exception as exc:
+                logger.warning(
+                    "chunk %d raised %s on attempt %d: %s",
+                    chunk.index, type(exc).__name__, chunk.attempt, exc)
+                _chunk_failed(chunk, retry, pending, serial)
+        if pool_broken:
+            _pool_stats.pool_respawns += 1
+            logger.warning("re-spawning the process pool")
+            lease = warm_pool().refresh(generation)
+            executor, generation = lease.executor, lease.generation
+        if pending:
+            delay = max(retry.delay_s(chunk.attempt) for chunk in pending)
+            if delay > 0:
+                time.sleep(delay)
 
     for chunk in serial:
         # The serial fallback runs in the parent without fault
@@ -401,39 +451,6 @@ def _simulate_design(design: DssocDesign
     return key, report
 
 
-#: Per-process cache of lowered workloads keyed by policy hyperparams.
-#: Long-lived warm workers re-lower each template policy once instead of
-#: once per design; lowering is deterministic, so the cached workload is
-#: identical to a fresh one and results stay bit-identical to
-#: :func:`_simulate_design`.  The template space is tiny (tens of
-#: points), so the cache is unbounded.
-_workload_by_policy: dict = {}
-
-
-def _simulate_shm_row(view: ShmView, row_index: int
-                      ) -> Tuple[Tuple[object, ...], object]:
-    """Pool worker: simulate one packed design-matrix row.
-
-    The batch payload arrives through the shared-memory segment named
-    by ``view`` (attached once per worker per batch); only ``row_index``
-    travelled through the pickle channel.  Produces exactly the
-    ``(key, report)`` pair :func:`_simulate_design` would for the same
-    design.
-    """
-    from repro.nn.template import build_policy_network
-    from repro.scalesim.simulator import SystolicArraySimulator
-    from repro.soc.batch import design_from_row
-
-    design = design_from_row(attach_view(view)[row_index])
-    workload = _workload_by_policy.get(design.policy)
-    if workload is None:
-        workload = lower_network(build_policy_network(design.policy))
-        _workload_by_policy[design.policy] = workload
-    key = design_key(workload, design.accelerator)
-    report = SystolicArraySimulator(design.accelerator).run(workload)
-    return key, report
-
-
 class BatchDssocEvaluator:
     """Cache-aware, optionally process-parallel DSSoC batch evaluator.
 
@@ -443,22 +460,15 @@ class BatchDssocEvaluator:
         chunksize: Designs per pickled work unit.
         operating_fps: Forwarded to :class:`DssocEvaluator`.
         retry: Retry schedule for failed pool chunks.
-        pool: Executor mode; ``None`` consults ``REPRO_POOL`` and
-            defaults to ``"cold"`` (fresh pool per batch, the oracle).
-            ``"warm"`` reuses the persistent executor and ships the
-            batch payload through shared memory -- bit-identical, just
-            cheaper to dispatch.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  chunksize: int = DEFAULT_CHUNKSIZE,
                  operating_fps: Optional[float] = None,
-                 retry: RetryPolicy = DEFAULT_RETRY,
-                 pool: Optional[str] = None):
+                 retry: RetryPolicy = DEFAULT_RETRY):
         self.workers = resolve_workers(workers)
         self.chunksize = chunksize
         self.retry = retry
-        self.pool = resolve_pool_mode(pool)
         self._evaluator = DssocEvaluator(operating_fps=operating_fps)
 
     @property
@@ -489,8 +499,9 @@ class BatchDssocEvaluator:
                 chunksize = self.pool_chunksize(len(missing))
                 cache = shared_report_cache()
                 start = time.perf_counter()
-                for key, report in self._simulate_missing(missing,
-                                                          chunksize):
+                for key, report in parallel_map(
+                        _simulate_design, missing, workers=self.workers,
+                        chunksize=chunksize, retry=self.retry):
                     cache.put(key, report)
                 autotuner().observe("pool", "simulate", chunksize,
                                     len(missing),
@@ -498,38 +509,6 @@ class BatchDssocEvaluator:
         if len(designs) <= 1:
             return [self._evaluator.evaluate(design) for design in designs]
         return self._evaluator.evaluate_batch(designs)
-
-    def _simulate_missing(self, missing: List[DssocDesign],
-                          chunksize: int
-                          ) -> List[Tuple[Tuple[object, ...], object]]:
-        """Fan the uncached designs out over the configured pool.
-
-        Cold mode pickles the design objects per chunk (the oracle
-        path).  Warm mode packs the batch into one design matrix,
-        publishes it through shared memory and dispatches bare row
-        indices to the persistent executor; the simulation performed
-        per design is identical, so the returned ``(key, report)``
-        pairs are bit-identical to the cold path.
-        """
-        if self.pool != "warm":
-            return parallel_map(_simulate_design, missing,
-                                workers=self.workers, chunksize=chunksize,
-                                retry=self.retry)
-        from functools import partial
-
-        from repro.soc.batch import pack_design_matrix
-
-        matrix = pack_design_matrix(missing)
-        view, segment = publish_array(matrix)
-        _pool_stats.shm_batches += 1
-        _pool_stats.shm_bytes += matrix.nbytes
-        try:
-            return parallel_map(partial(_simulate_shm_row, view),
-                                list(range(len(missing))),
-                                workers=self.workers, chunksize=chunksize,
-                                retry=self.retry, pool="warm")
-        finally:
-            unpublish(segment)
 
     def pool_chunksize(self, missing_count: int) -> int:
         """Designs per pool chunk for a batch of ``missing_count`` misses.

@@ -21,7 +21,6 @@ import numpy as np
 from repro.airlearning.database import AirLearningDatabase
 from repro.core.checkpoint import EvaluationJournal, JournalReplayer
 from repro.core.parallel import BatchDssocEvaluator
-from repro.core.workers import resolve_pool_mode
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import CheckpointError, ConfigError
 from repro.optim.base import Optimizer, OptimizationResult
@@ -113,10 +112,6 @@ class MultiObjectiveDse:
             revisions.
         promotion_eta: Successive-halving promotion fraction in
             ``(0, 1]``; only meaningful with ``fidelity="on"``.
-        pool: Worker-pool mode (explicit > ``REPRO_POOL`` > ``"cold"``).
-            ``"warm"`` reuses the process-wide executor and ships
-            design batches through shared memory; results are
-            bit-identical to cold.
     """
 
     def __init__(self, database: AirLearningDatabase,
@@ -125,8 +120,7 @@ class MultiObjectiveDse:
                  optimizer_kwargs: Optional[dict] = None,
                  workers: Optional[int] = None,
                  fidelity: str = "off",
-                 promotion_eta: float = 0.5,
-                 pool: Optional[str] = None):
+                 promotion_eta: float = 0.5):
         if fidelity not in ("off", "on"):
             raise ConfigError(
                 f"fidelity must be 'off' or 'on', got {fidelity!r}")
@@ -140,7 +134,6 @@ class MultiObjectiveDse:
         self.workers = workers
         self.fidelity = fidelity
         self.promotion_eta = promotion_eta
-        self.pool = resolve_pool_mode(pool)
 
     def derive_reference(self, evaluator: Optional[DssocEvaluator] = None
                          ) -> List[float]:
@@ -218,8 +211,7 @@ class MultiObjectiveDse:
         """
         if budget <= 0:
             raise ConfigError("budget must be positive")
-        batch_evaluator = BatchDssocEvaluator(workers=self.workers,
-                                              pool=self.pool)
+        batch_evaluator = BatchDssocEvaluator(workers=self.workers)
         evaluator = batch_evaluator.evaluator
         candidates: List[CandidateDesign] = []
 

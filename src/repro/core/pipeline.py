@@ -24,7 +24,6 @@ from repro.airlearning.scenarios import Scenario
 from repro.airlearning.trainer import CemTrainer
 from repro.backend.autotune import autotuner
 from repro.core.checkpoint import RunCheckpoint, RunManifest
-from repro.core.workers import resolve_pool_mode
 from repro.core.phase1 import FrontEnd, Phase1Result
 from repro.core.phase2 import MultiObjectiveDse, Phase2Result
 from repro.core.phase3 import BackEnd, Phase3Result, RankedDesign
@@ -68,18 +67,12 @@ class AutoPilot:
                  workers: Optional[int] = None,
                  trainer: Optional[CemTrainer] = None,
                  fidelity: str = "off",
-                 promotion_eta: float = 0.5,
-                 pool: Optional[str] = None):
+                 promotion_eta: float = 0.5):
         self.seed = seed
         self.fidelity = fidelity
         self.promotion_eta = promotion_eta
-        # Pool mode: explicit > REPRO_POOL > cold.  Warm runs reuse one
-        # process-wide executor and ship design batches through shared
-        # memory.
-        self.pool = resolve_pool_mode(pool)
         self.frontend = FrontEnd(backend=frontend_backend, seed=seed,
-                                 trainer=trainer, workers=workers,
-                                 pool=self.pool)
+                                 trainer=trainer, workers=workers)
         self.optimizer_cls = optimizer_cls
         self.optimizer_kwargs = optimizer_kwargs
         self.backend = BackEnd(enable_finetuning=enable_finetuning,
@@ -148,8 +141,7 @@ class AutoPilot:
                 optimizer_kwargs=self.optimizer_kwargs,
                 workers=self.workers,
                 fidelity=self.fidelity,
-                promotion_eta=self.promotion_eta,
-                pool=self.pool)
+                promotion_eta=self.promotion_eta)
             journal = (checkpoint.phase2_journal()
                        if checkpoint is not None else None)
             promotion_journal = (checkpoint.phase2_promotions_journal()
@@ -175,8 +167,8 @@ class AutoPilot:
             manifest.status["phase3"] = "complete"
             manifest.save(checkpoint.run_dir)
 
-        # Feed this run's kernel timings back into the per-machine
-        # chunk-tuning profile so the next sweep starts tuned.
+        # Feed this run's mean proposal-group size back into the
+        # per-machine chunk-tuning profile as the pool chunk cap.
         report = profiler.report()
         tuner = autotuner()
         tuner.ingest_report(report, "numpy")
@@ -208,8 +200,7 @@ class AutoPilot:
                            proposal_batch=(self.optimizer_kwargs or {}).get(
                                "proposal_batch", 1),
                            fidelity=self.fidelity,
-                           promotion_eta=self.promotion_eta,
-                           pool=self.pool)
+                           promotion_eta=self.promotion_eta)
 
     @staticmethod
     def _verify_manifest(previous: RunManifest, current: RunManifest,
@@ -218,8 +209,7 @@ class AutoPilot:
         mismatched = [
             name for name in ("uav", "scenario", "seed", "budget",
                               "sensor_fps", "frontend_backend", "trainer",
-                              "proposal_batch", "fidelity", "promotion_eta",
-                              "pool")
+                              "proposal_batch", "fidelity", "promotion_eta")
             if getattr(previous, name) != getattr(current, name)]
         if mismatched:
             details = ", ".join(

@@ -160,24 +160,17 @@ def _report_with(batch: BatchStats, gp: GpStats) -> ProfileReport:
 
 
 class TestIngestReport:
-    def test_batch_rows_become_simulate_observations(self):
+    def test_proposal_group_hint_caps_pool_chunks(self):
         tuner = autotuner()
         batch = BatchStats(batch_calls=4, batched_designs=128,
                            kernel_designs=100, kernel_wall_s=0.25)
         gp = GpStats(proposal_groups=5, proposed_points=40)
         tuner.ingest_report(_report_with(batch, gp), "numpy")
-        assert tuner.observation_count("numpy", "simulate") == 1
-        # Second distinct chunk size unlocks an answer, capped by the
+        # The two pool chunk sizes unlock an answer, capped by the
         # ingested proposal-group hint (mean group = 8).
-        tuner.observe("numpy", "simulate", 64, 256, 0.001)
-        assert tuner.best_chunk("numpy", "simulate") == 8
-
-    def test_zero_kernel_time_rows_skipped(self):
-        tuner = autotuner()
-        batch = BatchStats(batch_calls=2, batched_designs=64,
-                           kernel_designs=64, kernel_wall_s=0.0)
-        tuner.ingest_report(_report_with(batch, GpStats()), "numpy")
-        assert tuner.observation_count("numpy", "simulate") == 0
+        tuner.observe("pool", "simulate", 32, 256, 0.01)
+        tuner.observe("pool", "simulate", 64, 256, 0.001)
+        assert tuner.best_chunk("pool", "simulate") == 8
 
 
 class TestPoolChunkHeuristicFallback:

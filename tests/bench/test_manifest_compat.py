@@ -188,6 +188,50 @@ class TestRecordedArrayBackend:
         assert "array_backend" in capsys.readouterr().err
 
 
+def _record_fields(path, **values):
+    """Rewrite a manifest with extra recorded fields (``None`` drops one)."""
+    payload = json.loads(path.read_text())
+    for name, value in values.items():
+        payload.pop(name, None)
+        if value is not None:
+            payload[name] = value
+    path.write_text(json.dumps(payload))
+
+
+class TestRecordedPoolMode:
+    """Manifests from when the pool mode and cell width were selectable.
+
+    ``cold`` and ``warm`` pools and concurrent bench cells were all
+    bit-identical to the one persistent pool every run now uses, so
+    their runs resume to the same output.
+    """
+
+    @pytest.mark.parametrize("pool", [None, "cold", "warm"],
+                             ids=["absent", "cold", "warm"])
+    def test_run_manifest_resumes_identically(self, tmp_path, capsys, pool):
+        run_dir = tmp_path / "run"
+        assert main(_DESIGN_ARGV + ["--checkpoint-dir", str(run_dir)]) == 0
+        first = capsys.readouterr().out
+        _record_fields(run_dir / MANIFEST_NAME, pool=pool)
+        assert main(["design", "--resume", str(run_dir)]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("pool,bench_parallel",
+                             [(None, None), ("cold", 1), ("warm", 2)],
+                             ids=["absent", "cold", "warm-parallel"])
+    def test_bench_manifest_resumes_identically(self, tmp_path, capsys,
+                                                pool, bench_parallel):
+        bench_dir = tmp_path / "bench"
+        assert main(_BENCH_ARGV + ["--checkpoint-dir", str(bench_dir)]) == 0
+        first = capsys.readouterr().out
+        _record_fields(bench_dir / BENCH_MANIFEST_NAME, pool=pool,
+                       bench_parallel=bench_parallel)
+        for cell_manifest in bench_dir.glob(f"cells/*/{MANIFEST_NAME}"):
+            _record_fields(cell_manifest, pool=pool)
+        assert main(["bench", "--resume", str(bench_dir)]) == 0
+        assert capsys.readouterr().out == first
+
+
 class TestParserScenarioChoices:
     def test_parser_accepts_every_registry_id(self):
         parser = build_parser()

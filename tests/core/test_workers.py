@@ -1,8 +1,7 @@
-"""The warm worker-pool runtime and shared-memory batch transport.
+"""The persistent worker pool behind every parallel call.
 
-The load-bearing invariant: warm-pool runs are bit-identical to the
-cold oracle (and to the serial path) -- the persistent executor and the
-zero-copy transport are pure dispatch optimisations.
+The load-bearing invariant: pooled runs are bit-identical to the serial
+path -- the persistent executor is a pure dispatch detail.
 """
 
 from __future__ import annotations
@@ -15,22 +14,13 @@ from repro.core.parallel import (
     RetryPolicy,
     parallel_map,
     pool_stats,
-)
-from repro.core.workers import (
-    POOL_ENV,
-    ShmView,
-    attach_view,
-    publish_array,
-    resolve_pool_mode,
     shutdown_warm_pool,
-    unpublish,
     warm_pool,
 )
 from repro.core.evalcache import reset_shared_cache
 from repro.errors import ConfigError
 from repro.nn.template import FILTER_CHOICES, LAYER_CHOICES, PolicyHyperparams
 from repro.scalesim.config import AcceleratorConfig, Dataflow
-from repro.soc.batch import design_from_row, pack_design_matrix
 from repro.soc.dssoc import DssocDesign
 from repro.testing import faults
 
@@ -79,34 +69,11 @@ def _designs(count, seed=0):
     return designs
 
 
-class TestResolvePoolMode:
-    def test_default_is_cold(self, monkeypatch):
-        monkeypatch.delenv(POOL_ENV, raising=False)
-        assert resolve_pool_mode() == "cold"
-        assert resolve_pool_mode(None) == "cold"
-
-    def test_env_resolves(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "warm")
-        assert resolve_pool_mode() == "warm"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "warm")
-        assert resolve_pool_mode("cold") == "cold"
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "tepid")
-        with pytest.raises(ConfigError, match="pool mode"):
-            resolve_pool_mode()
-        with pytest.raises(ConfigError, match="pool mode"):
-            resolve_pool_mode("lukewarm")
-
-
 class TestWarmPool:
     def test_acquire_reuses_executor(self):
         pool = warm_pool()
         first = pool.acquire(2)
         second = pool.acquire(2)
-        assert first.spawned and not second.spawned
         assert first.executor is second.executor
         assert first.generation == second.generation
 
@@ -114,8 +81,8 @@ class TestWarmPool:
         pool = warm_pool()
         big = pool.acquire(3)
         small = pool.acquire(1)
-        assert not small.spawned
         assert small.executor is big.executor
+        assert small.generation == big.generation
         assert pool.workers == 3
 
     def test_refresh_is_idempotent_per_generation(self):
@@ -125,7 +92,7 @@ class TestWarmPool:
         # A second caller holding the same (stale) generation must not
         # trigger another respawn: it is handed the fresh executor.
         second = pool.refresh(lease.generation)
-        assert first.spawned and not second.spawned
+        assert first.generation == second.generation == lease.generation + 1
         assert first.executor is second.executor
         assert first.executor is not lease.executor
 
@@ -134,79 +101,26 @@ class TestWarmPool:
             warm_pool().acquire(0)
 
 
-class TestSharedMemoryTransport:
-    def test_publish_attach_roundtrip(self):
-        array = np.arange(24, dtype=np.float64).reshape(4, 6)
-        view, segment = publish_array(array)
-        try:
-            attached = attach_view(view)
-            assert attached.dtype == array.dtype
-            assert attached.shape == array.shape
-            np.testing.assert_array_equal(attached, array)
-            assert not attached.flags.writeable
-        finally:
-            unpublish(segment)
-
-    def test_attach_is_cached_per_segment(self):
-        view, segment = publish_array(np.ones((3, 3)))
-        try:
-            assert attach_view(view) is attach_view(view)
-        finally:
-            unpublish(segment)
-
-    def test_view_is_picklable(self):
-        import pickle
-
-        view = ShmView(name="psm_test", shape=(2, 3), dtype="float64")
-        assert pickle.loads(pickle.dumps(view)) == view
-
-    def test_design_matrix_roundtrip_is_exact(self):
-        designs = _designs(16, seed=11)
-        matrix = pack_design_matrix(designs)
-        assert matrix.shape == (16, 10)
-        for row, design in zip(matrix, designs):
-            assert design_from_row(row) == design
-
-
 class TestWarmParallelMap:
-    def test_bit_identical_to_cold_and_serial(self):
+    def test_bit_identical_to_serial(self):
         serial = parallel_map(_square, ITEMS, workers=1)
-        cold = parallel_map(_square, ITEMS, workers=2, chunksize=4,
-                            pool="cold")
-        warm = parallel_map(_square, ITEMS, workers=2, chunksize=4,
-                            pool="warm")
-        assert serial == cold == warm == EXPECTED
-
-    def test_warm_counters(self):
-        before = pool_stats().snapshot()
-        parallel_map(_square, ITEMS, workers=2, chunksize=4, pool="warm")
-        parallel_map(_square, ITEMS, workers=2, chunksize=4, pool="warm")
-        delta = pool_stats().since(before)
-        assert delta.warm_dispatches == 12
-        assert delta.cold_dispatches == 0
-        assert delta.warm_pool_spawns == 1
-        assert delta.warm_pool_reuses == 1
-
-    def test_cold_counters_untouched_by_default(self):
-        before = pool_stats().snapshot()
-        parallel_map(_square, ITEMS, workers=2, chunksize=4)
-        delta = pool_stats().since(before)
-        assert delta.cold_dispatches == 6
-        assert delta.warm_dispatches == 0
-        assert delta.warm_pool_spawns == 0
+        pooled = parallel_map(_square, ITEMS, workers=2, chunksize=4)
+        again = parallel_map(_square, ITEMS, workers=2, chunksize=4)
+        assert serial == pooled == again == EXPECTED
+        assert warm_pool().workers == 2
 
     def test_crash_recovery_under_warm_pool(self):
         before = pool_stats().snapshot()
         with faults.active_faults("crash@pool-task:11"):
             result = parallel_map(_square, ITEMS, workers=2, chunksize=4,
-                                  retry=FAST_RETRY, pool="warm")
+                                  retry=FAST_RETRY)
         assert result == EXPECTED
         delta = pool_stats().since(before)
         assert delta.chunk_retries >= 1
-        # The respawn went through the warm pool, which survives.
+        # The respawn went through the persistent pool, which survives.
         assert warm_pool().workers >= 2
-        assert parallel_map(_square, ITEMS, workers=2, chunksize=4,
-                            pool="warm") == EXPECTED
+        assert parallel_map(_square, ITEMS, workers=2,
+                            chunksize=4) == EXPECTED
 
 
 class TestUnpicklableNarrowing:
@@ -220,12 +134,11 @@ class TestUnpicklableNarrowing:
 
     @pytest.mark.parametrize("fn,exc", [(_type_boom, TypeError),
                                         (_attr_boom, AttributeError)])
-    @pytest.mark.parametrize("pool", ["cold", "warm"])
-    def test_worker_raised_error_is_not_misrouted(self, fn, exc, pool):
+    def test_worker_raised_error_is_not_misrouted(self, fn, exc):
         before = pool_stats().snapshot()
         with pytest.raises(exc, match="worker-raised"):
             parallel_map(fn, ITEMS, workers=2, chunksize=4,
-                         retry=FAST_RETRY, pool=pool)
+                         retry=FAST_RETRY)
         delta = pool_stats().since(before)
         # Classified as an application error: retried then poisoned,
         # never counted against the unpicklable path.
@@ -235,7 +148,7 @@ class TestUnpicklableNarrowing:
     def test_lambda_still_degrades_to_serial(self):
         before = pool_stats().snapshot()
         result = parallel_map(lambda x: x * x, ITEMS, workers=2,
-                              chunksize=4, pool="warm")
+                              chunksize=4)
         assert result == EXPECTED
         delta = pool_stats().since(before)
         assert delta.unpicklable_chunks >= 1
@@ -243,19 +156,16 @@ class TestUnpicklableNarrowing:
 
 
 class TestWarmBatchEvaluator:
-    def test_warm_batches_bit_identical_to_cold(self):
+    def test_batches_bit_identical_to_serial(self):
         designs = _designs(12, seed=5)
         reset_shared_cache()
-        cold_reports = BatchDssocEvaluator(
-            workers=2, pool="cold").evaluate_batch(designs)
-        # Clear the shared cache so the warm path actually simulates
-        # (a populated cache would serve every design without ever
-        # publishing a shared-memory batch).
+        serial_reports = BatchDssocEvaluator(
+            workers=1).evaluate_batch(designs)
+        # Clear the shared cache so the pooled path actually simulates
+        # (a populated cache would serve every design in the parent).
         reset_shared_cache()
-        before = pool_stats().snapshot()
-        warm_reports = BatchDssocEvaluator(
-            workers=2, pool="warm").evaluate_batch(designs)
-        delta = pool_stats().since(before)
-        assert warm_reports == cold_reports
-        assert delta.shm_batches >= 1
-        assert delta.shm_bytes >= 12 * 10 * 8
+        pooled_reports = BatchDssocEvaluator(
+            workers=2).evaluate_batch(designs)
+        assert pooled_reports == serial_reports
+        # The misses really went through the pool.
+        assert warm_pool().workers == 2

@@ -47,10 +47,34 @@ class TestParser:
             build_parser().parse_args(["sweep", "--layers", "42"])
 
     def test_rejects_unknown_backend(self):
-        # The kernels always run on NumPy; no subcommand takes --backend.
+        # The kernels always run on NumPy and every run shares one
+        # persistent worker pool; no subcommand takes --backend or
+        # --pool, and bench cells always run in suite order.
         for command in ("design", "bench", "compare", "sweep"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--backend", "numpy"])
+            for flag in (["--backend", "numpy"], ["--pool", "warm"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command] + flag)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--bench-parallel", "2"])
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,env", [
+        (["design", "--workers", "0"], {}),
+        (["design", "--budget", "0"], {}),
+        (["design", "--proposal-batch", "0"], {}),
+        (["compare", "--workers", "0"], {}),
+        (["design"], {"REPRO_WORKERS": "abc"}),
+    ], ids=["design-workers", "design-budget", "design-proposal-batch",
+            "compare-workers", "env-workers"])
+    def test_config_error_is_a_clean_exit(self, argv, env, monkeypatch,
+                                          capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestCommands:
