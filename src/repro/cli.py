@@ -29,7 +29,7 @@ from repro.airlearning.scenarios import (
     resolve_scenario,
     scenario_ids,
 )
-from repro.airlearning.trainer import CemTrainer, ROLLOUT_ENGINES
+from repro.airlearning.trainer import CemTrainer
 from repro.baselines.computers import FIG5_BASELINES
 from repro.bench import (
     BenchManifest,
@@ -86,10 +86,6 @@ def _add_phase1(parser: argparse.ArgumentParser) -> None:
                         default="surrogate",
                         help="Phase 1 backend: calibrated surrogate or "
                              "the real CEM trainer on the simulator")
-    parser.add_argument("--rollout-engine", choices=ROLLOUT_ENGINES,
-                        default="vec",
-                        help="trainer rollout engine: vectorised batch "
-                             "engine or the scalar reference")
     parser.add_argument("--cem-population", type=int, default=24,
                         help="CEM population size per iteration")
     parser.add_argument("--cem-iterations", type=int, default=15,
@@ -127,10 +123,13 @@ def _add_phase2(parser: argparse.ArgumentParser) -> None:
 def _autopilot(args: argparse.Namespace) -> AutoPilot:
     trainer = None
     if args.phase1_backend == "trainer":
+        # Fresh runs use the vectorised engine; a resumed run keeps the
+        # engine its manifest recorded, the scalar reference included.
         trainer = CemTrainer(population_size=args.cem_population,
                              iterations=args.cem_iterations,
                              episodes_per_candidate=args.cem_episodes,
-                             seed=args.seed, engine=args.rollout_engine,
+                             seed=args.seed,
+                             engine=getattr(args, "rollout_engine", "vec"),
                              cache=True)
     optimizer_kwargs = {}
     if getattr(args, "gp_refit_every", 1) != 1:

@@ -15,8 +15,11 @@ import json
 import pytest
 
 from repro.airlearning.scenarios import Scenario, ScenarioSpec, scenario_ids
-from repro.bench.runner import BENCH_MANIFEST_NAME, BenchManifest
-from repro.cli import _restore_from_manifest, build_parser, main
+from repro.airlearning.trainer import CemTrainer
+from repro.bench.runner import BENCH_MANIFEST_NAME, BenchManifest, BenchRunner
+from repro.bench.suite import build_suite
+from repro.cli import (_autopilot, _restore_bench_args,
+                       _restore_from_manifest, build_parser, main)
 from repro.core.checkpoint import MANIFEST_NAME, RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import TaskSpec
@@ -230,6 +233,51 @@ class TestRecordedPoolMode:
             _record_fields(cell_manifest, pool=pool)
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestRecordedScalarEngine:
+    """Manifests from when the rollout engine was a CLI flag.
+
+    Fresh runs always train on the vectorised engine, but a checkpoint
+    that recorded the scalar reference engine resumes under it: the
+    rebuilt pipeline describes exactly the recorded configuration, so
+    the resume verification accepts it.
+    """
+
+    @staticmethod
+    def _scalar_pilot():
+        trainer = CemTrainer(population_size=4, iterations=1,
+                             episodes_per_candidate=1, seed=3,
+                             engine="scalar", cache=True)
+        return AutoPilot(seed=3, frontend_backend="trainer",
+                         trainer=trainer)
+
+    def test_run_manifest_resumes_under_scalar_engine(self, tmp_path):
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
+        self._scalar_pilot()._manifest_for(task, budget=6).save(tmp_path)
+        loaded = RunManifest.load(tmp_path)
+        assert loaded.trainer["engine"] == "scalar"
+
+        args = _design_args()
+        task = _restore_from_manifest(args, loaded)
+        pilot = _autopilot(args)
+        assert pilot.frontend.trainer.engine == "scalar"
+        assert pilot._manifest_for(task, args.budget) == loaded
+
+    def test_bench_manifest_resumes_under_scalar_engine(self, tmp_path):
+        suite = build_suite(ids=["low", "dense"], platforms=["nano"])
+        runner = BenchRunner(self._scalar_pilot(), budget=6)
+        runner.manifest_for(suite).save(tmp_path)
+        loaded = BenchManifest.load(tmp_path)
+        assert loaded.trainer["engine"] == "scalar"
+
+        args = _design_args()
+        _restore_bench_args(args, loaded)
+        pilot = _autopilot(args)
+        assert pilot.frontend.trainer.engine == "scalar"
+        resumed = BenchRunner(pilot, budget=args.budget,
+                              sensor_fps=args.sensor_fps)
+        assert resumed.manifest_for(suite) == loaded
 
 
 class TestParserScenarioChoices:

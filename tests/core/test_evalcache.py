@@ -1,6 +1,5 @@
 """Unit tests for the content-addressed evaluation cache."""
 
-import pickle
 import threading
 import time
 
@@ -9,9 +8,7 @@ import pytest
 from repro.core.evalcache import (
     CacheStats,
     EvalCache,
-    configure_shared_cache,
     design_key,
-    key_digest,
     reset_shared_cache,
     shared_report_cache,
     workload_fingerprint,
@@ -65,10 +62,9 @@ class TestDesignKey:
         deep = workload_fingerprint(make_workload(10, 32))
         assert len(deep) > len(shallow)
 
-    def test_key_is_hashable_and_digestible(self):
+    def test_key_is_hashable(self):
         key = design_key(make_workload(), make_config())
         assert hash(key) == hash(key)
-        assert len(key_digest(key)) == 64
 
 
 class TestEvalCache:
@@ -122,70 +118,6 @@ class TestEvalCache:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ConfigError):
             EvalCache(capacity=0)
-
-    def test_disk_persistence_survives_new_instance(self, tmp_path):
-        first = EvalCache(capacity=4, persist_dir=tmp_path)
-        first.put(("k",), {"cycles": 123})
-        second = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert second.get(("k",)) == {"cycles": 123}
-        assert second.stats.disk_hits == 1
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "good")
-        path = cache._disk_path(("k",))
-        path.write_bytes(b"not a pickle")
-        fresh = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert fresh.get(("k",)) is None
-
-    def test_corrupt_disk_entry_is_quarantined_and_counted(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "good")
-        path = cache._disk_path(("k",))
-        path.write_bytes(b"not a pickle")
-        fresh = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert fresh.get(("k",)) is None
-        # The garbage file is renamed aside, not deleted and not left
-        # to be re-parsed on every load.
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert fresh.stats.corrupt == 1
-        # A re-put stores a clean entry alongside the quarantined one.
-        fresh.put(("k",), "fresh")
-        reread = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert reread.get(("k",)) == "fresh"
-        assert reread.stats.corrupt == 0
-
-    def test_truncated_disk_entry_is_quarantined(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), {"cycles": 123})
-        path = cache._disk_path(("k",))
-        path.write_bytes(path.read_bytes()[:-3])
-        fresh = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert fresh.get(("k",)) is None
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert fresh.stats.corrupt == 1
-
-    def test_saves_are_atomic_no_temp_files_left(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "value")
-        leftovers = [p for p in tmp_path.iterdir()
-                     if p.name.endswith(".tmp")]
-        assert leftovers == []
-
-    def test_disk_entries_survive_clear(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "value")
-        cache.clear()
-        assert cache.get(("k",)) == "value"
-        assert cache.stats.disk_hits == 1
-
-    def test_disk_file_is_a_plain_pickle(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), [1, 2, 3])
-        path = cache._disk_path(("k",))
-        with path.open("rb") as handle:
-            assert pickle.load(handle) == [1, 2, 3]
 
 
 class TestGetOrComputeConcurrency:
@@ -280,43 +212,29 @@ class TestCacheStats:
     def test_hit_rate_zero_when_unused(self):
         assert CacheStats().hit_rate == 0.0
 
+    def test_snapshot_since_merge_cover_all_fields(self):
+        stats = CacheStats(hits=2, misses=1, evictions=3)
+        snap = stats.snapshot()
+        assert vars(snap) == vars(stats)
+        stats.evictions += 4
+        delta = stats.since(snap)
+        assert delta.evictions == 4
+        assert delta.hits == 0
+        total = CacheStats()
+        total.merge(snap)
+        total.merge(delta)
+        assert vars(total) == vars(stats)
+
 
 class TestSharedCache:
     def test_shared_cache_is_process_wide(self):
         assert shared_report_cache() is shared_report_cache()
-
-    def test_configure_replaces_shared_cache(self, tmp_path):
-        original = shared_report_cache()
-        try:
-            replaced = configure_shared_cache(capacity=8,
-                                              persist_dir=tmp_path)
-            assert shared_report_cache() is replaced
-            assert replaced.capacity == 8
-        finally:
-            configure_shared_cache(capacity=original.capacity)
 
     def test_reset_drops_entries(self):
         cache = shared_report_cache()
         cache.put(("test-entry",), 1)
         reset_shared_cache()
         assert ("test-entry",) not in cache
-
-    def test_reset_waits_for_configuration_lock(self):
-        """Clearing must serialise with a concurrent configure swap so
-        it never clears an instance that is already being replaced."""
-        from repro.core import evalcache
-
-        evalcache._shared_lock.acquire()
-        done = threading.Event()
-        thread = threading.Thread(
-            target=lambda: (reset_shared_cache(), done.set()))
-        thread.start()
-        try:
-            assert not done.wait(0.1)
-        finally:
-            evalcache._shared_lock.release()
-        assert done.wait(2.0)
-        thread.join()
 
 
 class TestNoneValues:
@@ -352,12 +270,11 @@ class TestNoneValues:
         assert cache.lookup(("missing",)) is _MISS
         assert cache.get(("missing",)) is None
 
-    def test_none_round_trips_through_disk(self, tmp_path):
-        first = EvalCache(capacity=4, persist_dir=tmp_path)
-        first.put(("k",), None)
-        second = EvalCache(capacity=4, persist_dir=tmp_path)
+    def test_stored_none_survives_get_or_compute(self):
+        cache = EvalCache(capacity=4)
+        cache.put(("k",), None)
         calls = []
-        value = second.get_or_compute(
+        value = cache.get_or_compute(
             ("k",), lambda: calls.append(1) and "recomputed")
         assert value is None
         assert calls == []

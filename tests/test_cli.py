@@ -47,11 +47,14 @@ class TestParser:
             build_parser().parse_args(["sweep", "--layers", "42"])
 
     def test_rejects_unknown_backend(self):
-        # The kernels always run on NumPy and every run shares one
-        # persistent worker pool; no subcommand takes --backend or
-        # --pool, and bench cells always run in suite order.
+        # The kernels always run on NumPy, every run shares one
+        # persistent worker pool and fresh Phase 1 training always uses
+        # the vectorised rollout engine; no subcommand takes --backend,
+        # --pool or --rollout-engine, and bench cells always run in
+        # suite order.
         for command in ("design", "bench", "compare", "sweep"):
-            for flag in (["--backend", "numpy"], ["--pool", "warm"]):
+            for flag in (["--backend", "numpy"], ["--pool", "warm"],
+                         ["--rollout-engine", "vec"]):
                 with pytest.raises(SystemExit):
                     build_parser().parse_args([command] + flag)
         with pytest.raises(SystemExit):
@@ -194,17 +197,32 @@ class TestCheckpointCli:
 
 class TestHermeticRun:
     def test_plain_design_writes_nothing_under_home(self, tmp_path):
-        home = tmp_path / "home"
-        home.mkdir()
-        env = {key: value for key, value in os.environ.items()
-               if key != "REPRO_TUNE_DIR"}
-        env["HOME"] = str(home)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
-                                / "src")
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "design", "--budget", "8"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=300)
-        assert completed.returncode == 0, completed.stderr
-        assert "AutoPilot design report" in completed.stdout
-        assert list(home.iterdir()) == []
+        """Two fresh interpreters that differ in home, cwd, hash
+        randomisation and BLAS thread count print the same report, and
+        neither leaves anything in its home or cwd."""
+        reports, dirs = [], []
+        for name, hash_seed, blas_threads in (("a", "1", "1"),
+                                              ("b", "2", None)):
+            home, cwd = tmp_path / f"home-{name}", tmp_path / f"cwd-{name}"
+            home.mkdir()
+            cwd.mkdir()
+            env = {key: value for key, value in os.environ.items()
+                   if key not in ("REPRO_TUNE_DIR", "OPENBLAS_NUM_THREADS")}
+            env["HOME"] = str(home)
+            env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
+                                    / "src")
+            env["PYTHONHASHSEED"] = hash_seed
+            if blas_threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "design",
+                 "--budget", "24", "--seed", "3"],
+                cwd=cwd, env=env, capture_output=True, text=True,
+                timeout=300)
+            assert completed.returncode == 0, completed.stderr
+            reports.append(completed.stdout)
+            dirs += [home, cwd]
+        assert "AutoPilot design report" in reports[0]
+        assert reports[0] == reports[1]
+        for directory in dirs:
+            assert list(directory.iterdir()) == [], directory
