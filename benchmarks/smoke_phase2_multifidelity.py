@@ -36,7 +36,7 @@ from repro.core.evalcache import reset_shared_cache
 from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import MultiObjectiveDse
 from repro.core.spec import TaskSpec
-from repro.optim.fidelity import fidelity_stats
+from repro.perf import counters
 from repro.uav.platforms import NANO_ZHANG
 
 #: Tier-1 budget of the single-fidelity baseline (the qbatch config).
@@ -83,15 +83,15 @@ def _timed_runs(database, task, reference, *, budget, fidelity=None):
     """Best-of-REPS cold-cache wall time plus the run's measurements."""
     wall_s = float("inf")
     result = None
-    fidelity_before = None
+    before = None
     for _ in range(REPS):
         reset_shared_cache()
-        fidelity_before = fidelity_stats().snapshot()
+        before = counters.snapshot()
         start = time.perf_counter()
         result = _run_phase2(database, task, reference,
                              budget=budget, fidelity=fidelity)
         wall_s = min(wall_s, time.perf_counter() - start)
-    delta = fidelity_stats().since(fidelity_before)
+    delta = counters.since(before)["fidelity"]
     reset_shared_cache()
     final_hv = result.optimization.final_hypervolume(reference)
     return {
@@ -105,9 +105,10 @@ def _timed_runs(database, task, reference, *, budget, fidelity=None):
         "hypervolume_per_s": final_hv / wall_s,
         "screened": delta.screened,
         "promoted": delta.promoted,
-        "pruned": delta.pruned,
+        "pruned": delta.screened - delta.promoted,
         "rail_promotions": delta.rail_promotions,
-        "promotion_rate": delta.promotion_rate,
+        "promotion_rate": (delta.promoted / delta.screened
+                           if delta.screened else 0.0),
     }, result
 
 

@@ -8,7 +8,7 @@ Guards the batched SMS-EGO proposal path (``proposal_batch``/q):
   driver and evaluation stack.
 * **q>1 saturates the evaluator** -- with ``Q`` candidates per GP fit
   the mean mid-run evaluation batch size (from the process-wide
-  ``BatchStats`` proposal counters) must reach ``MIN_MID_RUN_BATCH``,
+  ``proposals`` counter set) must reach ``MIN_MID_RUN_BATCH``,
   and the run must improve hypervolume-per-wallclock over q=1 (it does
   ~1/q the GP fits for the same budget).
 
@@ -35,9 +35,9 @@ from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import MultiObjectiveDse
 from repro.core.spec import TaskSpec
 from repro.optim.bayesopt import SmsEgoBayesOpt
-from repro.optim.gp import MultiObjectiveGP, gp_stats
+from repro.optim.gp import MultiObjectiveGP
 from repro.optim.pareto import non_dominated_mask
-from repro.soc.batch import batch_stats
+from repro.perf import counters
 from repro.uav.platforms import NANO_ZHANG
 
 BUDGET = 64
@@ -105,20 +105,22 @@ def _histories_identical(a, b) -> bool:
                            np.asarray(b.hypervolume_trace)))
 
 
+def _mean(total: float, count: int) -> float:
+    return total / count if count else 0.0
+
+
 def _timed_runs(database, task, reference, proposal_batch):
-    """Best-of-REPS cold-cache wall time plus stats deltas and result."""
+    """Best-of-REPS cold-cache wall time plus counter deltas and result."""
     wall_s = float("inf")
     result = None
-    gp_before = batch_before = None
+    before = None
     for _ in range(REPS):
         reset_shared_cache()
-        gp_before = gp_stats().snapshot()
-        batch_before = batch_stats().snapshot()
+        before = counters.snapshot()
         start = time.perf_counter()
         result = _run_phase2(database, task, reference, proposal_batch)
         wall_s = min(wall_s, time.perf_counter() - start)
-    gp_delta = gp_stats().since(gp_before)
-    batch_delta = batch_stats().since(batch_before)
+    delta = counters.since(before)["proposals"]
     reset_shared_cache()
     final_hv = result.optimization.final_hypervolume(reference)
     return {
@@ -128,12 +130,14 @@ def _timed_runs(database, task, reference, proposal_batch):
         "wall_s": wall_s,
         "final_hypervolume": final_hv,
         "hypervolume_per_s": final_hv / wall_s,
-        "proposal_groups": gp_delta.proposal_groups,
-        "proposed_points": gp_delta.proposed_points,
-        "proposals_per_s": gp_delta.proposed_points / wall_s,
-        "mean_proposal_group": gp_delta.mean_proposal_group,
-        "mid_run_batches": batch_delta.proposal_calls,
-        "mid_run_mean_batch": batch_delta.mean_proposal_batch,
+        "proposal_groups": delta.proposal_groups,
+        "proposed_points": delta.proposed_points,
+        "proposals_per_s": delta.proposed_points / wall_s,
+        "mean_proposal_group": _mean(delta.proposed_points,
+                                     delta.proposal_groups),
+        "mid_run_batches": delta.proposal_calls,
+        "mid_run_mean_batch": _mean(delta.proposal_designs,
+                                    delta.proposal_calls),
     }, result
 
 

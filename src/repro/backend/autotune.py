@@ -8,7 +8,7 @@ module learns them from *real timed calls* instead of guessing:
 * the pooled batch evaluator records ``(chunk, items, wall_s)``
   observations per ``(backend, surface)`` as it runs;
 * finished profiler reports contribute the mean proposal-group size
-  (:class:`~repro.optim.gp.GpStats`), which caps the chunk size worth
+  (the ``proposals`` counter set), which caps the chunk size worth
   tuning for (chunks larger than a typical mid-run batch never fill);
 * :meth:`Autotuner.best_chunk` answers with the highest-throughput
   chunk seen so far, or ``None`` until at least two *distinct* chunk
@@ -174,14 +174,15 @@ class Autotuner:
     def ingest_report(self, report, backend_name: str) -> None:
         """Harvest the ``proposal_group`` cap hint from a profiler report.
 
-        The GP mean proposal-group size of each phase becomes the hint
-        :meth:`best_chunk` caps its answer with.  ``backend_name`` is
-        accepted for call-site compatibility and not used.
+        The mean SMS-EGO proposal-group size of each phase becomes the
+        hint :meth:`best_chunk` caps its answer with.  ``backend_name``
+        is accepted for call-site compatibility and not used.
         """
-        for phase in getattr(report, "phases", ()):
-            gp = getattr(phase, "gp", None)
-            if gp is not None and getattr(gp, "proposal_groups", 0):
-                self.hint("proposal_group", gp.mean_proposal_group)
+        for phase in report.phases:
+            proposals = phase.counters["proposals"]
+            if proposals.proposal_groups:
+                self.hint("proposal_group", proposals.proposed_points
+                          / proposals.proposal_groups)
 
     # -- answering -----------------------------------------------------
     def best_chunk(self, backend: str, surface: str,

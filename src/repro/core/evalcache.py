@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Tuple)
 
 from repro.errors import ConfigError
+from repro.perf.counters import Counters, register
 
 #: Bump when the simulator/power semantics change so cached entries
 #: keyed by older semantics can never be served against new ones.
@@ -149,41 +149,6 @@ def training_key(trainer: Any, hyperparams: Any,
             scenario.value)
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters for one cache (or one observation window)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups observed."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def snapshot(self) -> "CacheStats":
-        """A copy, for delta accounting across a profiling window."""
-        return CacheStats(**vars(self))
-
-    def since(self, baseline: "CacheStats") -> "CacheStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return CacheStats(**{name: value - getattr(baseline, name)
-                             for name, value in vars(self).items()})
-
-    def merge(self, delta: "CacheStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
-
-
 class EvalCache:
     """Thread-safe, in-memory LRU cache of immutable result records.
 
@@ -200,7 +165,7 @@ class EvalCache:
         if capacity <= 0:
             raise ConfigError("cache capacity must be positive")
         self.capacity = capacity
-        self.stats = CacheStats()
+        self.stats = Counters("hits", "misses", "evictions")
         self._entries: "OrderedDict[Tuple[Hashable, ...], Any]" = OrderedDict()
         self._lock = threading.Lock()
         # In-flight computations keyed by cache key: [key_lock, refcount].
@@ -299,7 +264,7 @@ class EvalCache:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self.stats = CacheStats()
+            self.stats.reset()
 
     # ------------------------------------------------------------------
     def _insert(self, key: Tuple[Hashable, ...], value: Any) -> None:
@@ -318,6 +283,7 @@ class EvalCache:
 # runs.
 
 _shared_cache = EvalCache()
+register("cache", _shared_cache.stats)
 
 
 def shared_report_cache() -> EvalCache:

@@ -20,10 +20,10 @@ failures without degrading the whole batch:
   ``AttributeError``/``TypeError`` shapes CPython's reducer raises for
   local functions) is not retried -- pickling is deterministic -- and
   falls back to serial for that chunk only.
-* Every failure is counted in the module-wide :func:`pool_stats`
-  (snapshotted per phase by :class:`repro.perf.Profiler`) and logged
-  through ``logging.getLogger("repro.core.parallel")`` instead of being
-  swallowed silently.
+* Every failure is counted in the ``pool`` counter set
+  (:func:`pool_stats`, diffed per phase by :class:`repro.perf.Profiler`)
+  and logged through ``logging.getLogger("repro.core.parallel")``
+  instead of being swallowed silently.
 
 Deterministic fault injection for all of these paths lives in
 :mod:`repro.testing.faults`; the runtime consults the active injector
@@ -62,6 +62,7 @@ from repro.backend.autotune import autotuner
 from repro.core.evalcache import design_key, shared_report_cache
 from repro.errors import ConfigError
 from repro.nn.workload import lower_network
+from repro.perf.counters import Counters, register
 from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
 from repro.testing import faults
 
@@ -130,45 +131,17 @@ class RetryPolicy:
 DEFAULT_RETRY = RetryPolicy()
 
 
-@dataclass
-class PoolStats:
-    """Counters for pool failures and recoveries (process-wide).
-
-    Mirrors :class:`repro.core.evalcache.CacheStats`: the profiler
-    snapshots the module-wide instance per phase and reports deltas.
-    """
-
-    chunk_failures: int = 0      # chunk attempts that failed in a pool
-    chunk_retries: int = 0       # chunks re-queued to a (new) pool
-    pool_respawns: int = 0       # pools re-created after breaking
-    poisoned_chunks: int = 0     # chunks that exhausted the retry budget
-    serial_fallback_chunks: int = 0  # chunks executed serially in the parent
-    unpicklable_chunks: int = 0  # chunks whose payload could not be pickled
-
-    @property
-    def total_faults(self) -> int:
-        """Failures observed (not the recoveries)."""
-        return self.chunk_failures + self.unpicklable_chunks
-
-    def snapshot(self) -> "PoolStats":
-        """A copy, for delta accounting across a profiling window."""
-        return PoolStats(**vars(self))
-
-    def since(self, baseline: "PoolStats") -> "PoolStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return PoolStats(**{name: value - getattr(baseline, name)
-                            for name, value in vars(self).items()})
-
-    def merge(self, delta: "PoolStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
+_pool_stats = register("pool", Counters(
+    "chunk_failures",          # chunk attempts that failed in a pool
+    "chunk_retries",           # chunks re-queued to a (new) pool
+    "pool_respawns",           # pools re-created after breaking
+    "poisoned_chunks",         # chunks that exhausted the retry budget
+    "serial_fallback_chunks",  # chunks executed serially in the parent
+    "unpicklable_chunks",      # chunks whose payload could not be pickled
+))
 
 
-_pool_stats = PoolStats()
-
-
-def pool_stats() -> PoolStats:
+def pool_stats() -> Counters:
     """The process-wide pool failure/recovery counters."""
     return _pool_stats
 

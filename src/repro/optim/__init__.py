@@ -11,17 +11,11 @@ from repro.optim.base import (
 )
 from repro.optim.bayesopt import SmsEgoBayesOpt
 from repro.optim.exhaustive import ExhaustiveSearch
-from repro.optim.fidelity import (
-    FidelityStats,
-    MultiFidelityEvaluator,
-    fidelity_stats,
-)
+from repro.optim.fidelity import MultiFidelityEvaluator
 from repro.optim.genetic import NsgaII
 from repro.optim.gp import (
     GaussianProcess,
-    GpStats,
     MultiObjectiveGP,
-    gp_stats,
     kernel_from_sq,
     pairwise_sq,
     se_kernel,
@@ -50,8 +44,6 @@ __all__ = [
     "ObserverFn",
     "CachingEvaluator",
     "MultiFidelityEvaluator",
-    "FidelityStats",
-    "fidelity_stats",
     "SmsEgoBayesOpt",
     "NsgaII",
     "SimulatedAnnealing",
@@ -59,9 +51,7 @@ __all__ = [
     "ReinforceSearch",
     "ExhaustiveSearch",
     "GaussianProcess",
-    "GpStats",
     "MultiObjectiveGP",
-    "gp_stats",
     "kernel_from_sq",
     "pairwise_sq",
     "se_kernel",

@@ -39,10 +39,11 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.optim.base import CachingEvaluator, Optimizer
 from repro.optim.fidelity import MultiFidelityEvaluator
-from repro.optim.gp import MultiObjectiveGP, gp_stats
+from repro.optim.gp import MultiObjectiveGP
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import IncrementalFront, non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
+from repro.perf.counters import Counters, register
 
 #: Absolute floor on the per-objective observed span when deriving the
 #: internal hypervolume reference point.  With a purely relative floor,
@@ -53,6 +54,13 @@ from repro.optim.space import Assignment, DesignSpace
 #: that axis and penalised.  An absolute epsilon keeps the margin well
 #: clear of the clip in the degenerate case.
 SPAN_EPSILON = 1e-6
+
+_proposal_stats = register("proposals", Counters(
+    "proposal_groups",   # acquisition rounds (one per GP fit)
+    "proposed_points",   # candidates proposed across all groups
+    "proposal_calls",    # groups submitted as one evaluation batch
+    "proposal_designs",  # designs across those submissions
+))
 
 
 class SmsEgoBayesOpt(Optimizer):
@@ -289,25 +297,15 @@ class SmsEgoBayesOpt(Optimizer):
             # Penalties are finite, so already-picked candidates must be
             # masked out explicitly or the argmax could repeat them.
             scores[np.asarray(picks)] = -np.inf
-        stats = gp_stats()
-        stats.proposal_groups += 1
-        stats.proposed_points += len(picks)
+        _proposal_stats.proposal_groups += 1
+        _proposal_stats.proposed_points += len(picks)
         return evaluator.space.from_indices(pool[picks])
 
     @staticmethod
     def _count_proposal_submission(size: int) -> None:
-        """Credit one mid-run proposal batch to the SoC batch counters.
-
-        Imported lazily: the optimiser layer works standalone (toy
-        objectives, unit tests) without the SoC evaluation stack.
-        """
-        try:
-            from repro.soc.batch import batch_stats
-        except ImportError:  # pragma: no cover - optim used standalone
-            return
-        stats = batch_stats()
-        stats.proposal_calls += 1
-        stats.proposal_designs += size
+        """Credit one mid-run proposal batch of ``size`` designs."""
+        _proposal_stats.proposal_calls += 1
+        _proposal_stats.proposal_designs += size
 
     def _reference_point(self, objectives: np.ndarray) -> np.ndarray:
         worst = objectives.max(axis=0)

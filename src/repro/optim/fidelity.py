@@ -27,8 +27,6 @@ gate (and verify them on resume).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +41,7 @@ from repro.optim.base import (
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
+from repro.perf.counters import Counters, register
 
 #: Tier-0 screen: a list of assignments -> an (n, d) matrix of
 #: component-wise *lower bounds* on the objective vectors (minimisation
@@ -56,67 +55,15 @@ ScreenFn = Callable[[List[Assignment]], Sequence[Sequence[float]]]
 PromotionObserverFn = Callable[[List[Assignment], List[bool]], None]
 
 
-@dataclass
-class FidelityStats:
-    """Process-wide counters for the multi-fidelity screening path.
-
-    Mirrors :class:`repro.soc.batch.BatchStats`: the profiler snapshots
-    the module-wide instance per phase and reports deltas.
-    """
-
-    screen_calls: int = 0      # screened proposal groups
-    screened: int = 0          # fresh points scored at tier-0
-    promoted: int = 0          # points promoted to tier-1
-    rail_promotions: int = 0   # promotions owed to the safety rail alone
-    screen_wall_s: float = 0.0  # wall time inside the tier-0 screen
-    tier1_wall_s: float = 0.0   # wall time inside promoted tier-1 evals
-    tier1_points: int = 0       # points evaluated in those tier-1 calls
-
-    @property
-    def pruned(self) -> int:
-        """Screened points never promoted (simulator evals avoided)."""
-        return self.screened - self.promoted
-
-    @property
-    def promotion_rate(self) -> float:
-        """Fraction of screened points promoted to tier-1."""
-        if self.screened == 0:
-            return 0.0
-        return self.promoted / self.screened
-
-    @property
-    def mean_tier1_eval_s(self) -> float:
-        """Mean wall seconds per promoted tier-1 evaluation."""
-        if self.tier1_points == 0:
-            return 0.0
-        return self.tier1_wall_s / self.tier1_points
-
-    @property
-    def est_sim_seconds_saved(self) -> float:
-        """Pruned points priced at the measured tier-1 cost."""
-        return self.pruned * self.mean_tier1_eval_s
-
-    def snapshot(self) -> "FidelityStats":
-        """A copy, for delta accounting across a profiling window."""
-        return FidelityStats(**vars(self))
-
-    def since(self, baseline: "FidelityStats") -> "FidelityStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return FidelityStats(**{name: value - getattr(baseline, name)
-                                for name, value in vars(self).items()})
-
-    def merge(self, delta: "FidelityStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
-
-
-_fidelity_stats = FidelityStats()
-
-
-def fidelity_stats() -> FidelityStats:
-    """The process-wide multi-fidelity screening counters."""
-    return _fidelity_stats
+_fidelity_stats = register("fidelity", Counters(
+    "screen_calls",     # screened proposal groups
+    "screened",         # fresh points scored at tier-0
+    "promoted",         # points promoted to tier-1
+    "rail_promotions",  # promotions owed to the safety rail alone
+    "screen_wall_s",    # wall time inside the tier-0 screen
+    "tier1_wall_s",     # wall time inside promoted tier-1 evals
+    "tier1_points",     # points evaluated in those tier-1 calls
+))
 
 
 class MultiFidelityEvaluator(CachingEvaluator):
@@ -178,11 +125,10 @@ class MultiFidelityEvaluator(CachingEvaluator):
 
         if fresh_indices:
             fresh = [assignments[i] for i in fresh_indices]
-            start = time.perf_counter()
-            bounds = np.asarray(self.screen_fn(fresh), dtype=float)
+            with _fidelity_stats.timed("screen_wall_s"):
+                bounds = np.asarray(self.screen_fn(fresh), dtype=float)
             _fidelity_stats.screen_calls += 1
             _fidelity_stats.screened += len(fresh)
-            _fidelity_stats.screen_wall_s += time.perf_counter() - start
             if bounds.shape != (len(fresh), self.reference.shape[0]):
                 raise ConfigError(
                     f"screen function returned shape {bounds.shape}, "
@@ -197,9 +143,8 @@ class MultiFidelityEvaluator(CachingEvaluator):
                     self._pruned_keys.add(keys[key_index])
             _fidelity_stats.promoted += len(promoted)
             if promoted:
-                start = time.perf_counter()
-                super().evaluate_batch(promoted)
-                _fidelity_stats.tier1_wall_s += time.perf_counter() - start
+                with _fidelity_stats.timed("tier1_wall_s"):
+                    super().evaluate_batch(promoted)
                 _fidelity_stats.tier1_points += len(promoted)
         return [self._cache.get(key) for key in keys]
 

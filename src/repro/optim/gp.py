@@ -34,13 +34,13 @@ code path (:class:`GaussianProcess` is a one-column view of it):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.perf.counters import Counters, register
 
 
 def pairwise_sq(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -107,50 +107,13 @@ def _standardise(y: np.ndarray) -> Tuple[float, float, np.ndarray]:
     return mean, std, (y - mean) / std
 
 
-@dataclass
-class GpStats:
-    """Process-wide GP fitting counters (profiler-snapshot friendly).
-
-    Mirrors :class:`repro.core.evalcache.CacheStats`: the profiler
-    snapshots the module-wide instance per phase and reports deltas.
-    """
-
-    full_fits: int = 0            # per-objective fits via the grid search
-    incremental_updates: int = 0  # per-objective fits via factor extension
-    factorisations: int = 0       # Cholesky factorisations performed
-    fit_wall_s: float = 0.0       # time spent in full (grid) fits
-    update_wall_s: float = 0.0    # time spent in incremental updates
-    proposal_groups: int = 0      # acquisition rounds (one per GP fit)
-    proposed_points: int = 0      # candidates proposed across all groups
-
-    @property
-    def mean_proposal_group(self) -> float:
-        """Average candidates proposed per acquisition round."""
-        if self.proposal_groups == 0:
-            return 0.0
-        return self.proposed_points / self.proposal_groups
-
-    def snapshot(self) -> "GpStats":
-        """A copy, for delta accounting across a profiling window."""
-        return GpStats(**vars(self))
-
-    def since(self, baseline: "GpStats") -> "GpStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return GpStats(**{name: value - getattr(baseline, name)
-                          for name, value in vars(self).items()})
-
-    def merge(self, delta: "GpStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
-
-
-_gp_stats = GpStats()
-
-
-def gp_stats() -> GpStats:
-    """The process-wide GP fitting counters."""
-    return _gp_stats
+_gp_stats = register("gp", Counters(
+    "full_fits",            # per-objective fits via the grid search
+    "incremental_updates",  # per-objective fits via factor extension
+    "factorisations",       # Cholesky factorisations performed
+    "fit_wall_s",           # time spent in full (grid) fits
+    "update_wall_s",        # time spent in incremental updates
+))
 
 
 @dataclass
@@ -241,11 +204,13 @@ class MultiObjectiveGP:
             raise ConfigError("cannot fit a GP to zero observations")
         if self._can_extend(x, y):
             try:
-                self._extend(x, y)
+                with _gp_stats.timed("update_wall_s"):
+                    self._extend(x, y)
                 return self
             except np.linalg.LinAlgError:
                 pass  # non-PD extension: fall through to the exact refit
-        self._full_fit(x, y)
+        with _gp_stats.timed("fit_wall_s"):
+            self._full_fit(x, y)
         return self
 
     def _can_extend(self, x: np.ndarray, y: np.ndarray) -> bool:
@@ -259,7 +224,6 @@ class MultiObjectiveGP:
                 and np.array_equal(x[:prev_n], self._x))
 
     def _full_fit(self, x: np.ndarray, y: np.ndarray) -> None:
-        start = time.perf_counter()
         n, m = y.shape
         sq = pairwise_sq(x, x)
         base = (self.lengthscale if self.lengthscale is not None
@@ -304,7 +268,6 @@ class MultiObjectiveGP:
         self._models = models
         self._grid_n = n
         _gp_stats.full_fits += m
-        _gp_stats.fit_wall_s += time.perf_counter() - start
 
     def _extend(self, x: np.ndarray, y: np.ndarray) -> None:
         """Grow every inverse factor by the appended rows.
@@ -317,7 +280,6 @@ class MultiObjectiveGP:
         positive definite, which the caller turns into an exact full
         refit.
         """
-        start = time.perf_counter()
         prev_n, n = self._x.shape[0], x.shape[0]
         x_new = x[prev_n:]
         sq_cross = pairwise_sq(self._x, x_new)
@@ -352,7 +314,6 @@ class MultiObjectiveGP:
         self._x = x
         self._models = models
         _gp_stats.incremental_updates += len(models)
-        _gp_stats.update_wall_s += time.perf_counter() - start
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

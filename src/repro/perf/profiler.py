@@ -1,11 +1,11 @@
-"""Wall-time, throughput and cache-hit-rate profiling primitives.
+"""Wall-time, throughput and counter profiling primitives.
 
 The profiler is deliberately dependency-free (stdlib only): phases are
-timed with ``time.perf_counter`` context managers, counters accumulate
-named integers (evaluations, simulations), and cache activity is
-measured as a delta of the shared cache's counters across each phase,
-so concurrent users of the cache outside the profiled window do not
-pollute the numbers.
+timed with ``time.perf_counter`` context managers, named integers
+(evaluations, simulations) accumulate in run-level counters, and every
+layer's :class:`~repro.perf.counters.Counters` set is measured as a
+delta across each phase, so activity outside the profiled window does
+not pollute the numbers.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.core.evalcache import CacheStats, shared_report_cache
-from repro.core.parallel import PoolStats, pool_stats
-from repro.optim.fidelity import FidelityStats, fidelity_stats
-from repro.optim.gp import GpStats, gp_stats
-from repro.soc.batch import BatchStats, batch_stats
+from repro.perf import counters as counter_sets
+from repro.perf.counters import Counters
 
 
 @dataclass
@@ -33,18 +30,9 @@ class PhaseRecord:
     #: Simulator/environment steps executed within the phase (e.g.
     #: Phase 1 rollout transitions), for throughput reporting.
     steps: int = 0
-    cache: CacheStats = field(default_factory=CacheStats)
-    #: Worker-pool fault/retry activity within the phase.
-    pool: PoolStats = field(default_factory=PoolStats)
-    #: GP surrogate fitting activity (full refits vs incremental
-    #: factor updates) within the phase.
-    gp: GpStats = field(default_factory=GpStats)
-    #: Batched-evaluation activity (calls, designs, kernel-simulated
-    #: designs) within the phase.
-    batch: BatchStats = field(default_factory=BatchStats)
-    #: Multi-fidelity screening activity (tier-0 screens, promotions,
-    #: pruned simulator evaluations) within the phase.
-    fidelity: FidelityStats = field(default_factory=FidelityStats)
+    #: Every registered counter set's activity within the phase, keyed
+    #: by set name (``cache``, ``pool``, ``gp``, ``proposals``, ...).
+    counters: Dict[str, Counters] = field(default_factory=counter_sets.zeros)
 
     @property
     def evaluations_per_second(self) -> float:
@@ -83,44 +71,11 @@ class ProfileReport:
         """Environment/simulator steps across all phases."""
         return sum(p.steps for p in self.phases)
 
-    @property
-    def overall_cache(self) -> CacheStats:
-        """Cache activity summed over all phases."""
-        total = CacheStats()
+    def total(self, name: str) -> Counters:
+        """Counter set ``name`` summed over all phases."""
+        total = Counters()
         for phase in self.phases:
-            total.merge(phase.cache)
-        return total
-
-    @property
-    def overall_pool(self) -> PoolStats:
-        """Worker-pool fault/retry activity summed over all phases."""
-        total = PoolStats()
-        for phase in self.phases:
-            total.merge(phase.pool)
-        return total
-
-    @property
-    def overall_gp(self) -> GpStats:
-        """GP fitting activity summed over all phases."""
-        total = GpStats()
-        for phase in self.phases:
-            total.merge(phase.gp)
-        return total
-
-    @property
-    def overall_batch(self) -> BatchStats:
-        """Batched-evaluation activity summed over all phases."""
-        total = BatchStats()
-        for phase in self.phases:
-            total.merge(phase.batch)
-        return total
-
-    @property
-    def overall_fidelity(self) -> FidelityStats:
-        """Multi-fidelity screening activity summed over all phases."""
-        total = FidelityStats()
-        for phase in self.phases:
-            total.merge(phase.fidelity)
+            total.merge(phase.counters[name])
         return total
 
 
@@ -137,32 +92,21 @@ class Profiler:
     @contextmanager
     def phase(self, name: str,
               evaluations: Optional[int] = None) -> Iterator[PhaseRecord]:
-        """Time one phase; cache counters are measured as a delta.
+        """Time one phase; every counter set is measured as a delta.
 
         The yielded record can be annotated mid-phase (e.g. setting
         ``evaluations`` once the DSE budget is known).
         """
-        record = self._phases.get(name)
-        if record is None:
-            record = PhaseRecord(name=name)
-            self._phases[name] = record
-            self._order.append(name)
-        cache_before = shared_report_cache().stats.snapshot()
-        pool_before = pool_stats().snapshot()
-        gp_before = gp_stats().snapshot()
-        batch_before = batch_stats().snapshot()
-        fidelity_before = fidelity_stats().snapshot()
+        record = self._record(name)
+        before = counter_sets.snapshot()
         start = time.perf_counter()
         try:
             yield record
         finally:
             record.wall_s += time.perf_counter() - start
             record.calls += 1
-            record.cache.merge(shared_report_cache().stats.since(cache_before))
-            record.pool.merge(pool_stats().since(pool_before))
-            record.gp.merge(gp_stats().since(gp_before))
-            record.batch.merge(batch_stats().since(batch_before))
-            record.fidelity.merge(fidelity_stats().since(fidelity_before))
+            for set_name, delta in counter_sets.since(before).items():
+                record.counters[set_name].merge(delta)
             if evaluations is not None:
                 record.evaluations += evaluations
 
@@ -211,8 +155,8 @@ def render_profile(report: ProfileReport) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for phase in report.phases:
-        hit_rate = (f"{phase.cache.hit_rate:.1%}"
-                    if phase.cache.lookups else "-")
+        cache = phase.counters["cache"]
+        hit_rate = f"{cache.hit_rate:.1%}" if cache.lookups else "-"
         evals_s = (f"{phase.evaluations_per_second:.1f}"
                    if phase.evaluations else "-")
         evals = str(phase.evaluations) if phase.evaluations else "-"
@@ -221,7 +165,7 @@ def render_profile(report: ProfileReport) -> str:
                    if phase.steps else "-")
         lines.append(f"{phase.name:<18} {phase.wall_s:>8.3f} {evals:>7} "
                      f"{evals_s:>9} {steps:>9} {steps_s:>9} {hit_rate:>9}")
-    overall = report.overall_cache
+    overall = report.total("cache")
     lines.append("-" * len(header))
     lines.append(f"{'total':<18} {report.total_wall_s:>8.3f} "
                  f"{report.total_evaluations or '-':>7} "
@@ -230,40 +174,49 @@ def render_profile(report: ProfileReport) -> str:
                  f"{'':>9} "
                  f"{(f'{overall.hit_rate:.1%}' if overall.lookups else '-'):>9}")
     for phase in report.phases:
-        if phase.gp.full_fits or phase.gp.incremental_updates:
+        gp = phase.counters["gp"]
+        prop = phase.counters["proposals"]
+        batch = phase.counters["batch"]
+        fid = phase.counters["fidelity"]
+        if gp.full_fits or gp.incremental_updates:
             lines.append(
-                f"{phase.name} gp: {phase.gp.full_fits} full fits "
-                f"({phase.gp.fit_wall_s:.3f} s), "
-                f"{phase.gp.incremental_updates} incremental updates "
-                f"({phase.gp.update_wall_s:.3f} s), "
-                f"{phase.gp.factorisations} factorisations")
-        if phase.gp.proposal_groups:
+                f"{phase.name} gp: {gp.full_fits} full fits "
+                f"({gp.fit_wall_s:.3f} s), "
+                f"{gp.incremental_updates} incremental updates "
+                f"({gp.update_wall_s:.3f} s), "
+                f"{gp.factorisations} factorisations")
+        if prop.proposal_groups:
             lines.append(
-                f"{phase.name} proposals: {phase.gp.proposal_groups} "
-                f"groups, {phase.gp.proposed_points} points, "
-                f"mean group size {phase.gp.mean_proposal_group:.1f}")
-        if phase.batch.batch_calls:
+                f"{phase.name} proposals: {prop.proposal_groups} "
+                f"groups, {prop.proposed_points} points, mean group size "
+                f"{prop.proposed_points / prop.proposal_groups:.1f}")
+        if batch.batch_calls:
             line = (
-                f"{phase.name} batches: {phase.batch.batch_calls} calls, "
-                f"mean batch size {phase.batch.mean_batch_size:.1f}, "
-                f"{phase.batch.kernel_designs} kernel-simulated designs "
-                f"({phase.batch.kernel_wall_s:.3f} s in kernels)")
-            if phase.batch.proposal_calls:
+                f"{phase.name} batches: {batch.batch_calls} calls, "
+                f"mean batch size "
+                f"{batch.batched_designs / batch.batch_calls:.1f}, "
+                f"{batch.kernel_designs} kernel-simulated designs "
+                f"({batch.kernel_wall_s:.3f} s in kernels)")
+            if prop.proposal_calls:
                 line += (
-                    f", {phase.batch.proposal_calls} proposal batches "
-                    f"(mean {phase.batch.mean_proposal_batch:.1f})")
+                    f", {prop.proposal_calls} proposal batches (mean "
+                    f"{prop.proposal_designs / prop.proposal_calls:.1f})")
             lines.append(line)
-        if phase.fidelity.screen_calls:
-            fid = phase.fidelity
+        if fid.screen_calls:
+            pruned = fid.screened - fid.promoted
+            # Pruned points priced at the mean measured tier-1 evaluation.
+            saved_s = (pruned * fid.tier1_wall_s / fid.tier1_points
+                       if fid.tier1_points else 0.0)
             lines.append(
                 f"{phase.name} fidelity: {fid.screened} screened in "
                 f"{fid.screen_calls} groups ({fid.screen_wall_s:.3f} s), "
-                f"{fid.promoted} promoted ({fid.promotion_rate:.0%}, "
+                f"{fid.promoted} promoted "
+                f"({fid.promoted / fid.screened:.0%}, "
                 f"{fid.rail_promotions} via safety rail), "
-                f"{fid.pruned} simulator evals avoided "
-                f"(~{fid.est_sim_seconds_saved:.2f} s saved)")
-    pool = report.overall_pool
-    if pool.total_faults:
+                f"{pruned} simulator evals avoided "
+                f"(~{saved_s:.2f} s saved)")
+    pool = report.total("pool")
+    if pool.chunk_failures + pool.unpicklable_chunks:
         lines.append(
             f"pool faults: {pool.chunk_failures} chunk failures, "
             f"{pool.chunk_retries} retries, {pool.pool_respawns} respawns, "
@@ -273,3 +226,4 @@ def render_profile(report: ProfileReport) -> str:
     for name in sorted(report.counters):
         lines.append(f"{name}: {report.counters[name]}")
     return "\n".join(lines)
+

@@ -11,9 +11,9 @@ distinct capacity, so batched evaluations are bit-identical to
 :meth:`repro.soc.dssoc.DssocEvaluator.evaluate` -- the contract the
 equivalence suite enforces per point.
 
-The module-wide :class:`BatchStats` counters record how much work flows
-through the batch path (batch calls, designs per batch, kernel-simulated
-designs); :class:`repro.perf.Profiler` snapshots them per phase so
+The module's ``batch`` counter set records how much work flows through
+the batch path (batch calls, designs per batch, kernel-simulated
+designs); :class:`repro.perf.Profiler` diffs it per phase so
 ``autopilot design --profile`` can report the mean evaluation batch
 size.
 """
@@ -21,12 +21,12 @@ size.
 from __future__ import annotations
 
 import gc
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.perf.counters import Counters, register
 from repro.power.cacti import sram_model
 from repro.power.dram import (
     BACKGROUND_POWER_W,
@@ -53,56 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
 
 
-@dataclass
-class BatchStats:
-    """Process-wide counters for the batched evaluation path.
-
-    Mirrors :class:`repro.core.parallel.PoolStats`: the profiler
-    snapshots the module-wide instance per phase and reports deltas.
-    """
-
-    batch_calls: int = 0       # evaluate_batch invocations
-    batched_designs: int = 0   # designs handed to evaluate_batch
-    kernel_designs: int = 0    # uncached designs simulated by the kernel
-    proposal_calls: int = 0    # optimiser proposal groups submitted batched
-    proposal_designs: int = 0  # designs across those proposal groups
-    kernel_wall_s: float = 0.0  # wall time inside the array-kernel calls
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average designs per evaluate_batch call."""
-        if self.batch_calls == 0:
-            return 0.0
-        return self.batched_designs / self.batch_calls
-
-    @property
-    def mean_proposal_batch(self) -> float:
-        """Average designs per mid-run proposal-group submission."""
-        if self.proposal_calls == 0:
-            return 0.0
-        return self.proposal_designs / self.proposal_calls
-
-    def snapshot(self) -> "BatchStats":
-        """A copy, for delta accounting across a profiling window."""
-        return BatchStats(**vars(self))
-
-    def since(self, baseline: "BatchStats") -> "BatchStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return BatchStats(**{name: value - getattr(baseline, name)
-                             for name, value in vars(self).items()})
-
-    def merge(self, delta: "BatchStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
-
-
-_batch_stats = BatchStats()
-
-
-def batch_stats() -> BatchStats:
-    """The process-wide batched-evaluation counters."""
-    return _batch_stats
+_batch_stats = register("batch", Counters(
+    "batch_calls",      # evaluate_batch invocations
+    "batched_designs",  # designs handed to evaluate_batch
+    "kernel_designs",   # uncached designs simulated by the kernel
+    "kernel_wall_s",    # wall time inside the array-kernel calls
+))
 
 
 #: Per-design integer aggregates the power models consume, in the column
@@ -395,9 +351,8 @@ def evaluate_design_batch(evaluator: "DssocEvaluator",
                     slots[key] = len(group_configs)
                     group_configs.append(designs[i].accelerator)
                     unique_keys.append(key)
-            kernel_start = time.perf_counter()
-            sim = simulate_batch(workload, group_configs)
-            _batch_stats.kernel_wall_s += time.perf_counter() - kernel_start
+            with _batch_stats.timed("kernel_wall_s"):
+                sim = simulate_batch(workload, group_configs)
             _batch_stats.kernel_designs += len(group_configs)
             group_reports = sim.reports()
             group_matrix = _sum_matrix_from_sim(sim)
@@ -412,11 +367,10 @@ def evaluate_design_batch(evaluator: "DssocEvaluator",
             staged[i] = _sum_row_from_report(
                 reports[i], designs[i].accelerator.num_pes)
 
-        kernel_start = time.perf_counter()
-        power = _evaluate_power_columns(
-            [d.accelerator for d in designs], staged,
-            evaluator.operating_fps)
-        _batch_stats.kernel_wall_s += time.perf_counter() - kernel_start
+        with _batch_stats.timed("kernel_wall_s"):
+            power = _evaluate_power_columns(
+                [d.accelerator for d in designs], staged,
+                evaluator.operating_fps)
 
         new = object.__new__
         setdict = object.__setattr__

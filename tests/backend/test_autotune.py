@@ -21,9 +21,8 @@ from repro.backend.autotune import (
     reset_autotuner,
 )
 from repro.core.parallel import BatchDssocEvaluator
-from repro.optim.gp import GpStats
+from repro.perf import Counters
 from repro.perf.profiler import PhaseRecord, ProfileReport
-from repro.soc.batch import BatchStats
 
 
 class TestBestChunk:
@@ -152,20 +151,21 @@ class TestStore:
         assert list(tmp_path.iterdir()) == []
 
 
-def _report_with(batch: BatchStats, gp: GpStats) -> ProfileReport:
+def _report_with(**sets: Counters) -> ProfileReport:
     record = PhaseRecord(name="phase2")
-    record.batch = batch
-    record.gp = gp
+    for name, delta in sets.items():
+        record.counters[name].merge(delta)
     return ProfileReport(phases=[record], total_wall_s=1.0, counters={})
 
 
 class TestIngestReport:
     def test_proposal_group_hint_caps_pool_chunks(self):
         tuner = autotuner()
-        batch = BatchStats(batch_calls=4, batched_designs=128,
-                           kernel_designs=100, kernel_wall_s=0.25)
-        gp = GpStats(proposal_groups=5, proposed_points=40)
-        tuner.ingest_report(_report_with(batch, gp), "numpy")
+        batch = Counters(batch_calls=4, batched_designs=128,
+                         kernel_designs=100, kernel_wall_s=0.25)
+        proposals = Counters(proposal_groups=5, proposed_points=40)
+        tuner.ingest_report(_report_with(batch=batch, proposals=proposals),
+                            "numpy")
         # The two pool chunk sizes unlock an answer, capped by the
         # ingested proposal-group hint (mean group = 8).
         tuner.observe("pool", "simulate", 32, 256, 0.01)

@@ -13,13 +13,13 @@ from repro.core.parallel import (
     BatchDssocEvaluator,
     RetryPolicy,
     parallel_map,
-    pool_stats,
     shutdown_warm_pool,
     warm_pool,
 )
 from repro.core.evalcache import reset_shared_cache
 from repro.errors import ConfigError
 from repro.nn.template import FILTER_CHOICES, LAYER_CHOICES, PolicyHyperparams
+from repro.perf import counters
 from repro.scalesim.config import AcceleratorConfig, Dataflow
 from repro.soc.dssoc import DssocDesign
 from repro.testing import faults
@@ -110,12 +110,12 @@ class TestWarmParallelMap:
         assert warm_pool().workers == 2
 
     def test_crash_recovery_under_warm_pool(self):
-        before = pool_stats().snapshot()
+        before = counters.snapshot()
         with faults.active_faults("crash@pool-task:11"):
             result = parallel_map(_square, ITEMS, workers=2, chunksize=4,
                                   retry=FAST_RETRY)
         assert result == EXPECTED
-        delta = pool_stats().since(before)
+        delta = counters.since(before)["pool"]
         assert delta.chunk_retries >= 1
         # The respawn went through the persistent pool, which survives.
         assert warm_pool().workers >= 2
@@ -135,22 +135,22 @@ class TestUnpicklableNarrowing:
     @pytest.mark.parametrize("fn,exc", [(_type_boom, TypeError),
                                         (_attr_boom, AttributeError)])
     def test_worker_raised_error_is_not_misrouted(self, fn, exc):
-        before = pool_stats().snapshot()
+        before = counters.snapshot()
         with pytest.raises(exc, match="worker-raised"):
             parallel_map(fn, ITEMS, workers=2, chunksize=4,
                          retry=FAST_RETRY)
-        delta = pool_stats().since(before)
+        delta = counters.since(before)["pool"]
         # Classified as an application error: retried then poisoned,
         # never counted against the unpicklable path.
         assert delta.unpicklable_chunks == 0
         assert delta.chunk_failures >= 1
 
     def test_lambda_still_degrades_to_serial(self):
-        before = pool_stats().snapshot()
+        before = counters.snapshot()
         result = parallel_map(lambda x: x * x, ITEMS, workers=2,
                               chunksize=4)
         assert result == EXPECTED
-        delta = pool_stats().since(before)
+        delta = counters.since(before)["pool"]
         assert delta.unpicklable_chunks >= 1
         assert delta.chunk_retries == 0
 

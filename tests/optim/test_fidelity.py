@@ -7,12 +7,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.optim.bayesopt import SmsEgoBayesOpt
-from repro.optim.fidelity import (
-    FidelityStats,
-    MultiFidelityEvaluator,
-    fidelity_stats,
-)
+from repro.optim.fidelity import MultiFidelityEvaluator
 from repro.optim.space import DesignSpace, Dimension
+from repro.perf import Counters, counters, render_profile
+from repro.perf.profiler import PhaseRecord, ProfileReport
 
 REFERENCE = [2.0, 2.0, 2.0]
 
@@ -86,9 +84,9 @@ class TestPromotion:
         # it on every axis, so every screened point is a potential
         # dominator: none may be pruned, whatever the quota says.
         evaluator.evaluate(max(points, key=lambda p: objective(p)))
-        before = fidelity_stats().snapshot()
+        before = counters.snapshot()
         results = evaluator.evaluate_screened(points[8:16])
-        delta = fidelity_stats().since(before)
+        delta = counters.since(before)["fidelity"]
         assert all(r is not None for r in results)
         assert delta.rail_promotions > 0
 
@@ -141,33 +139,31 @@ class TestPromotion:
 
 class TestStats:
     def test_counters_accumulate(self):
-        before = fidelity_stats().snapshot()
+        before = counters.snapshot()
         evaluator = make_evaluator(screen=exact_screen, eta=0.25)
         points = list(make_space().all_points())
         evaluator.evaluate(points[0])
         evaluator.evaluate_screened(points[8:16])
-        delta = fidelity_stats().since(before)
+        delta = counters.since(before)["fidelity"]
+        pruned = delta.screened - delta.promoted
         assert delta.screen_calls == 1
         assert delta.screened == 8
-        assert delta.promoted == delta.screened - delta.pruned
-        assert delta.pruned > 0
-        assert 0.0 < delta.promotion_rate < 1.0
+        assert pruned > 0
+        assert 0.0 < delta.promoted / delta.screened < 1.0
         assert delta.tier1_points == delta.promoted
 
     def test_est_sim_seconds_saved_prices_pruned_points(self):
-        stats = FidelityStats(screened=10, promoted=6, tier1_points=6,
-                              tier1_wall_s=3.0)
-        assert stats.pruned == 4
-        assert stats.mean_tier1_eval_s == pytest.approx(0.5)
-        assert stats.est_sim_seconds_saved == pytest.approx(2.0)
-
-    def test_snapshot_and_merge_round_trip(self):
-        stats = FidelityStats(screen_calls=2, screened=12, promoted=7)
-        copy = stats.snapshot()
-        copy.merge(FidelityStats(screened=3, promoted=1))
-        assert copy.screened == 15
-        assert stats.screened == 12
-        assert copy.since(stats).screened == 3
+        record = PhaseRecord(name="phase2")
+        record.counters["fidelity"].merge(Counters(
+            screen_calls=1, screened=10, promoted=6, tier1_points=6,
+            tier1_wall_s=3.0))
+        report = ProfileReport(phases=[record], total_wall_s=1.0,
+                               counters={})
+        # 4 pruned points at the mean tier-1 cost of 0.5 s each.
+        assert ("phase2 fidelity: 10 screened in 1 groups (0.000 s), "
+                "6 promoted (60%, 0 via safety rail), 4 simulator evals "
+                "avoided (~2.00 s saved)"
+                ) in render_profile(report).splitlines()
 
 
 class _PruneEverything(MultiFidelityEvaluator):

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from repro.core.evalcache import shared_report_cache
-from repro.perf import Profiler, render_profile
+from repro.perf import Counters, Profiler, render_profile
+from repro.perf.profiler import PhaseRecord, ProfileReport
 
 
 class TestProfiler:
@@ -59,8 +60,8 @@ class TestProfiler:
             cache.get(("profiler-test-key",))
             cache.get(("profiler-test-absent",))
         record = profiler.report().phases[0]
-        assert record.cache.hits == 1
-        assert record.cache.misses == 1
+        assert record.counters["cache"].hits == 1
+        assert record.counters["cache"].misses == 1
 
     def test_counters(self):
         profiler = Profiler()
@@ -92,7 +93,7 @@ class TestProfileReport:
         with profiler.phase("b"):
             cache.get(("report-test-key",))
             cache.get(("report-test-absent",))
-        overall = profiler.report().overall_cache
+        overall = profiler.report().total("cache")
         assert overall.hits == 2
         assert overall.misses == 1
 
@@ -107,6 +108,53 @@ class TestProfileReport:
         assert "phase2" in text
         assert "12" in text
         assert "corner_evals: 2" in text
+
+
+def _record(name: str, **sets: Counters) -> PhaseRecord:
+    record = PhaseRecord(name=name)
+    for set_name, delta in sets.items():
+        record.counters[set_name].merge(delta)
+    return record
+
+
+class TestCounterLines:
+    def test_pool_fault_line_sums_phases(self):
+        report = ProfileReport(phases=[
+            _record("a", pool=Counters(chunk_failures=2, poisoned_chunks=1)),
+            _record("b", pool=Counters(chunk_failures=1,
+                                       unpicklable_chunks=3)),
+        ], total_wall_s=1.0, counters={})
+        assert ("pool faults: 3 chunk failures, 0 retries, 0 respawns, "
+                "1 poisoned, 3 unpicklable, 0 serial-fallback chunks"
+                ) in render_profile(report).splitlines()
+
+    def test_recoveries_without_faults_print_no_pool_line(self):
+        report = ProfileReport(phases=[
+            _record("a", pool=Counters(chunk_retries=2, pool_respawns=1,
+                                       serial_fallback_chunks=1)),
+        ], total_wall_s=1.0, counters={})
+        assert "pool faults" not in render_profile(report)
+
+    def test_mean_sizes_are_derived_from_counts(self):
+        report = ProfileReport(phases=[_record(
+            "phase2",
+            proposals=Counters(proposal_groups=4, proposed_points=10,
+                               proposal_calls=3, proposal_designs=9),
+            batch=Counters(batch_calls=4, batched_designs=18,
+                           kernel_designs=7))],
+            total_wall_s=1.0, counters={})
+        lines = render_profile(report).splitlines()
+        assert ("phase2 proposals: 4 groups, 10 points, "
+                "mean group size 2.5") in lines
+        assert ("phase2 batches: 4 calls, mean batch size 4.5, "
+                "7 kernel-simulated designs (0.000 s in kernels), "
+                "3 proposal batches (mean 3.0)") in lines
+
+    def test_untimed_phase_prints_no_counter_lines(self):
+        profiler = Profiler()
+        profiler.add_evaluations("dse", 3)
+        lines = render_profile(profiler.report()).splitlines()
+        assert lines[-1].startswith("total ")
 
 
 class TestStepCounters:

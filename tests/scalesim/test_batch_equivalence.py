@@ -15,8 +15,9 @@ import pytest
 from repro.core.evalcache import reset_shared_cache
 from repro.nn.template import PolicyHyperparams, build_policy_network
 from repro.nn.workload import lower_network
-from repro.optim.gp import GaussianProcess, MultiObjectiveGP, gp_stats
+from repro.optim.gp import GaussianProcess, MultiObjectiveGP
 from repro.optim.space import DesignSpace, Dimension
+from repro.perf import counters
 from repro.scalesim.batch import simulate_batch
 from repro.scalesim.config import (
     PE_DIM_CHOICES,
@@ -232,11 +233,11 @@ class TestGpIncrementalEquivalence:
     def test_refit_cadence_counts_grid_fits(self):
         x, y, _ = self._data(4, n=20, m=2)
         gp = MultiObjectiveGP(refit_every=3)
-        before = gp_stats().snapshot()
+        before = counters.snapshot()
         gp.fit(x[:10], y[:10])
         for n in range(11, 21):
             gp.fit(x[:n], y[:n])
-        delta = gp_stats().since(before)
+        delta = counters.since(before)["gp"]
         # Grid refits at n=10 (first) then every 3rd appended point;
         # the other fits must take the incremental path.
         assert delta.full_fits == 2 * 4  # 4 grid fits x 2 objectives
@@ -260,10 +261,10 @@ class TestGpIncrementalEquivalence:
         # legacy fit-every-proposal behaviour bit-for-bit.
         x, y, _ = self._data(7, n=12, m=2)
         gp = MultiObjectiveGP()
-        before = gp_stats().snapshot()
+        before = counters.snapshot()
         gp.fit(x[:10], y[:10])
         gp.fit(x, y)
-        assert gp_stats().since(before).incremental_updates == 0
+        assert counters.since(before)["gp"].incremental_updates == 0
 
 
 class TestSampleBlockStream:
